@@ -36,7 +36,6 @@ from gridhit.geometry import (
     Ball,
     Box,
     Cube,
-    CustomShape,
     FatObject,
     GridSpec,
     contains,

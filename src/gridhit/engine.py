@@ -62,8 +62,7 @@ class EngineState:
     """
 
     def __init__(self, grid: GridSpec, fatness: Scalar, *,
-                 instrument: bool = True, keep_history: bool = True,
-                 use_index: bool = False):
+                 instrument: bool = True, keep_history: bool = True):
         fatness = as_scalar(fatness)
         if not fatness >= 1:
             raise ValueError(f"fatness must be >= 1, got {fatness}")
@@ -73,7 +72,6 @@ class EngineState:
         self.step_cap = scalar_floor((4 * fatness + 1) ** grid.d)
         self.instrument = instrument
         self.keep_history = keep_history
-        self.use_index = use_index
         self.chosen: list[Point] = []
         self._chosen_set: set[Point] = set()
         self.history: Optional[list[tuple[FatObject, Decision, int]]] = \
@@ -84,22 +82,8 @@ class EngineState:
 
     # -- hit detection -------------------------------------------------------
 
-    def _is_hit_scan(self, o: FatObject) -> bool:
-        return any(geometry.contains(o, p) for p in self.chosen)
-
-    def _is_hit_indexed(self, o: FatObject) -> bool:
-        # Unit-cell bucket index: chosen points are their own cells, so a
-        # lookup per interior lattice point beats the scan for small
-        # objects; fall back to the scan when the object is the bigger side.
-        size = geometry.count_grid_points(o)
-        if size >= len(self.chosen):
-            return self._is_hit_scan(o)
-        return any(p in self._chosen_set for p in geometry.grid_points_in(o))
-
     def is_hit(self, o: FatObject) -> bool:
-        if self.use_index:
-            return self._is_hit_indexed(o)
-        return self._is_hit_scan(o)
+        return any(geometry.contains(o, p) for p in self.chosen)
 
     # -- the online step -----------------------------------------------------
 
@@ -184,15 +168,3 @@ def check_ratio_bound(grid: GridSpec, fatness: Scalar,
 
 def new_engine(grid: GridSpec, fatness: Scalar, **kwargs) -> EngineState:
     return EngineState(grid, fatness, **kwargs)
-
-
-def process(state: EngineState, o: FatObject) -> Decision:
-    return state.process(o)
-
-
-def hitting_set(state: EngineState) -> list[Point]:
-    return state.hitting_set()
-
-
-def ratio_report(state: EngineState, opt_size: int) -> RatioReport:
-    return state.ratio_report(opt_size)

@@ -7,21 +7,19 @@ minimum over its coordinates, so levels partition P into a dyadic
 hierarchy with a single maximum-level point when N is a power of two.
 
 Shapes are open sets: strict inequalities on every face and boundary.
-Three concrete shapes are supported (cube, ball, axis-parallel box) plus
-a generic extension bundle.  Every predicate is exact: coordinates and
-widths are ints, Fractions, or quadratic irrationals (see ``exactnum``),
-never floats.
+Three shapes are supported: cube, ball and axis-parallel box.  Every
+predicate is exact: coordinates and widths are ints, Fractions, or
+quadratic irrationals (see ``exactnum``), never floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import lcm
-from typing import Callable, Union
+from itertools import product, repeat
+from math import isqrt, lcm, prod
+from typing import Iterator, Optional, Union
 
-from gridhit import kernels
 from gridhit.errors import EmptyObjectError, FatnessViolation, GridBoundsError
 from gridhit.exactnum import (
     Scalar,
@@ -114,32 +112,22 @@ class Box:
             raise ValueError("box widths must be positive")
 
 
-@dataclass(frozen=True)
-class CustomShape:
-    """Extension point: any open set given as a (membership, enclosing
-    cube, inscribed cube, squared fatness) bundle.  Ships unused by the
-    rest of the package; enumeration falls back to filtering the
-    enclosing cube by the membership predicate."""
-
-    membership: Callable[[Point], bool]
-    enclosing: Cube
-    inscribed: Cube
-    fatness_square: Scalar
-
-
-FatObject = Union[Cube, Ball, Box, CustomShape]
+FatObject = Union[Cube, Ball, Box]
 
 
 # -- levels -------------------------------------------------------------------
 
 def int_level(i: int) -> int:
     """Number of trailing zero bits of i >= 1 (the 2-adic valuation)."""
-    return kernels.int_level(i)
+    if i <= 0:
+        raise ValueError(f"level is undefined for {i}; coordinates are >= 1")
+    return (i & -i).bit_length() - 1
 
 
 def point_level(p) -> int:
-    """min over coordinates of int_level; defined since 0 is never in P."""
-    return kernels.point_level(tuple(p))
+    """min over coordinates of int_level; defined since 0 is never in P.
+    An empty point raises ValueError."""
+    return min(int_level(c) for c in p)
 
 
 def _max_coord_level(a: int, b: int) -> int:
@@ -153,11 +141,9 @@ def _max_coord_level(a: int, b: int) -> int:
 # -- basic shape queries --------------------------------------------------------
 
 def dimension(o: FatObject) -> int:
-    if isinstance(o, (Cube, Box)):
-        return len(o.corner)
     if isinstance(o, Ball):
         return len(o.center)
-    return len(o.enclosing.corner)
+    return len(o.corner)
 
 
 def contains(o: FatObject, p) -> bool:
@@ -170,9 +156,7 @@ def contains(o: FatObject, p) -> bool:
             t = x - c
             acc = acc + t * t
         return acc < o.radius * o.radius
-    if isinstance(o, Box):
-        return all(c < x < c + w for c, x, w in zip(o.corner, p, o.widths))
-    return o.membership(tuple(p))
+    return all(c < x < c + w for c, x, w in zip(o.corner, p, o.widths))
 
 
 def _extent(o: FatObject) -> list[tuple[Scalar, Scalar]]:
@@ -181,10 +165,7 @@ def _extent(o: FatObject) -> list[tuple[Scalar, Scalar]]:
         return [(c, c + o.width) for c in o.corner]
     if isinstance(o, Ball):
         return [(c - o.radius, c + o.radius) for c in o.center]
-    if isinstance(o, Box):
-        return [(c, c + w) for c, w in zip(o.corner, o.widths)]
-    ec = o.enclosing
-    return [(c, c + ec.width) for c in ec.corner]
+    return [(c, c + w) for c, w in zip(o.corner, o.widths)]
 
 
 def enclosing_cube(o: FatObject) -> Cube:
@@ -194,11 +175,9 @@ def enclosing_cube(o: FatObject) -> Cube:
         return o
     if isinstance(o, Ball):
         return Cube(tuple(c - o.radius for c in o.center), 2 * o.radius)
-    if isinstance(o, Box):
-        wmax = max(o.widths)
-        corner = tuple(c - (wmax - w) / 2 for c, w in zip(o.corner, o.widths))
-        return Cube(corner, wmax)
-    return o.enclosing
+    wmax = max(o.widths)
+    corner = tuple(c - (wmax - w) / 2 for c, w in zip(o.corner, o.widths))
+    return Cube(corner, wmax)
 
 
 def inscribed_cube(o: FatObject) -> Cube:
@@ -212,11 +191,9 @@ def inscribed_cube(o: FatObject) -> Cube:
     if isinstance(o, Ball):
         half = o.radius / sqrt_exact(len(o.center))
         return Cube(tuple(c - half for c in o.center), 2 * half)
-    if isinstance(o, Box):
-        wmin = min(o.widths)
-        corner = tuple(c + (w - wmin) / 2 for c, w in zip(o.corner, o.widths))
-        return Cube(corner, wmin)
-    return o.inscribed
+    wmin = min(o.widths)
+    corner = tuple(c + (w - wmin) / 2 for c, w in zip(o.corner, o.widths))
+    return Cube(corner, wmin)
 
 
 def out_width(o: FatObject) -> Scalar:
@@ -234,10 +211,8 @@ def fatness_sq(o: FatObject) -> Scalar:
         return Fraction(1)
     if isinstance(o, Ball):
         return Fraction(len(o.center))
-    if isinstance(o, Box):
-        r = max(o.widths) / min(o.widths)
-        return r * r
-    return o.fatness_square
+    r = max(o.widths) / min(o.widths)
+    return r * r
 
 
 def validate_fatness(o: FatObject, family_fatness_sq: Scalar) -> None:
@@ -261,10 +236,8 @@ def dilate(o: FatObject, beta: Scalar, v) -> FatObject:
     if isinstance(o, Ball):
         return Ball(tuple(beta * c + t for c, t in zip(o.center, v)),
                     beta * o.radius)
-    if isinstance(o, Box):
-        return Box(tuple(beta * c + t for c, t in zip(o.corner, v)),
-                   tuple(beta * w for w in o.widths))
-    raise TypeError("custom shapes do not carry a dilation rule")
+    return Box(tuple(beta * c + t for c, t in zip(o.corner, v)),
+               tuple(beta * w for w in o.widths))
 
 
 def validate_in_grid(o: FatObject, grid: GridSpec) -> None:
@@ -278,6 +251,10 @@ def validate_in_grid(o: FatObject, grid: GridSpec) -> None:
 
 
 # -- lattice enumeration --------------------------------------------------------
+#
+# Every query below consumes one primitive, ``_rows``: the object's points
+# on a stride lattice, grouped into runs along the last axis.  A box, being
+# a product set, is counted and tested for a point from its ranges alone.
 
 def _int_ranges(o: FatObject) -> list[tuple[int, int]] | None:
     """Per-axis inclusive integer candidate bounds, clipped to coords >= 1.
@@ -309,6 +286,73 @@ def _is_rational_ball(o: FatObject) -> bool:
             and all(is_rational(c) for c in o.center))
 
 
+def _align(a: int, stride: int) -> int:
+    """Smallest multiple of stride that is >= a."""
+    return -(-a // stride) * stride
+
+
+Row = tuple[Point, int, int]
+
+
+def _lattice(axes) -> Iterator[Point]:
+    """Lazy ``itertools.product`` of ranges: product() would first copy
+    every range into a tuple, which a huge object's ranges cannot be."""
+    if not axes:
+        yield ()
+        return
+    for prefix in _lattice(axes[:-1]):
+        for x in axes[-1]:
+            yield prefix + (x,)
+
+
+def _rows(o: FatObject, ranges, stride: int) -> Iterator[Row]:
+    """The object's integer points whose coordinates are all multiples of
+    ``stride``, as rows ``(prefix, a, b)`` in lexicographic order: the
+    points with first d-1 coordinates ``prefix`` are exactly
+    ``prefix + (x,)`` for the multiples x of stride in [a, b], and a is
+    one of them.  ``ranges`` is ``_int_ranges(o)``.
+
+    A box row is its last-axis range.  A rational ball row comes from an
+    ``isqrt`` of the radius left over by the prefix.  Any other object
+    (a ball with irrational parameters) yields the single points that
+    pass ``contains``.  Rows are generated lazily, so the first row of a
+    box costs O(d) whatever its size.
+    """
+    if _is_rational_ball(o):
+        cnum, den, rnum = _ball_int_args(o)
+        return _ball_rows(ranges, stride, cnum, den, rnum * rnum, ())
+    axes = [range(_align(a, stride), b + 1, stride) for a, b in ranges]
+    if not all(axes):
+        # Checked up front: the lattice would otherwise walk every prefix
+        # of the other axes before it found no row.
+        return iter(())
+    if isinstance(o, (Cube, Box)):
+        a, b = axes[-1][0], axes[-1][-1]
+        return ((prefix, a, b) for prefix in _lattice(axes[:-1]))
+    return ((p[:-1], p[-1], p[-1]) for p in _lattice(axes) if contains(o, p))
+
+
+def _ball_rows(ranges, stride, cnum, den, rem, prefix) -> Iterator[Row]:
+    """Rows of the integer ball sum((x_i*den - cnum_i)**2) < rr, where
+    ``rem`` is rr minus the prefix's share of the sum."""
+    if rem <= 0:
+        return
+    ax = len(prefix)
+    lo, hi = ranges[ax]
+    c = cnum[ax]
+    u = isqrt(rem - 1)  # largest |x*den - c| allowed on this axis
+    a = _align(max(lo, -((u - c) // den)), stride)
+    b = min(hi, (c + u) // den)
+    if ax == len(ranges) - 1:
+        if a <= b:
+            yield prefix, a, b
+        return
+    for x in range(a, b + 1, stride):
+        t = x * den - c
+        yield from _ball_rows(ranges, stride, cnum, den, rem - t * t,
+                              prefix + (x,))
+
+
 def grid_points_in(o: FatObject) -> list[Point]:
     """All integer points strictly inside the object, lexicographically.
 
@@ -318,15 +362,10 @@ def grid_points_in(o: FatObject) -> list[Point]:
     ranges = _int_ranges(o)
     if ranges is None:
         return []
-    lo = tuple(a for a, _ in ranges)
-    hi = tuple(b for _, b in ranges)
-    if isinstance(o, (Cube, Box)):
-        return list(product(*(range(a, b + 1) for a, b in ranges)))
-    if _is_rational_ball(o):
-        cnum, den, rnum = _ball_int_args(o)
-        return kernels.ball_points(lo, hi, cnum, den, rnum)
-    return [p for p in product(*(range(a, b + 1) for a, b in ranges))
-            if contains(o, p)]
+    out: list[Point] = []
+    for prefix, a, b in _rows(o, ranges, 1):
+        out.extend(zip(*map(repeat, prefix), range(a, b + 1)))
+    return out
 
 
 def count_grid_points(o: FatObject) -> int:
@@ -334,69 +373,49 @@ def count_grid_points(o: FatObject) -> int:
     if ranges is None:
         return 0
     if isinstance(o, (Cube, Box)):
-        n = 1
-        for a, b in ranges:
-            n *= b - a + 1
-        return n
-    if _is_rational_ball(o):
-        cnum, den, rnum = _ball_int_args(o)
-        lo = tuple(a for a, _ in ranges)
-        hi = tuple(b for _, b in ranges)
-        return kernels.ball_count(lo, hi, cnum, den, rnum)
-    return len(grid_points_in(o))
+        return prod(b - a + 1 for a, b in ranges)
+    return sum(b - a + 1 for _, a, b in _rows(o, ranges, 1))
+
+
+def find_grid_point(o: FatObject) -> Optional[Point]:
+    """One integer point inside the object, or None if it has none.
+
+    The 2**d integer points around the center of the enclosing cube come
+    first, in lexicographic order (an immediate hit for any large object);
+    otherwise the lexicographically first point inside.
+    """
+    ranges = _int_ranges(o)
+    if ranges is None:
+        return None
+    ec = enclosing_cube(o)
+    mids = [scalar_floor(c + ec.width / 2) for c in ec.corner]
+    for p in product(*((m, m + 1) for m in mids)):
+        if all(a <= x <= b for x, (a, b) in zip(p, ranges)) and contains(o, p):
+            return p
+    for prefix, a, _ in _rows(o, ranges, 1):
+        return prefix + (a,)
+    return None
 
 
 def has_grid_point(o: FatObject) -> bool:
-    ranges = _int_ranges(o)
-    if ranges is None:
-        return False
     if isinstance(o, (Cube, Box)):
-        return True
-    if _is_rational_ball(o):
-        cnum, den, rnum = _ball_int_args(o)
-        lo = tuple(a for a, _ in ranges)
-        hi = tuple(b for _, b in ranges)
-        return kernels.ball_count(lo, hi, cnum, den, rnum) > 0
-    # Generic shapes: try the candidates around the center of the
-    # enclosing cube first (an immediate hit for any large object), then
-    # fall back to an early-exit scan.
-    ec = enclosing_cube(o)
-    mids = [c + ec.width / 2 for c in ec.corner]
-    cands = product(*((scalar_floor(m), scalar_floor(m) + 1) for m in mids))
-    for p in cands:
-        if all(a <= x <= b for x, (a, b) in zip(p, ranges)) and contains(o, p):
-            return True
-    for p in product(*(range(a, b + 1) for a, b in ranges)):
-        if contains(o, p):
-            return True
-    return False
+        # A product set has a point iff every axis has an integer.
+        return _int_ranges(o) is not None
+    return find_grid_point(o) is not None
 
 
 def object_level(o: FatObject) -> int:
-    """Maximum level over the integer points inside the object."""
+    """Maximum level over the integer points inside the object.
+
+    A point of level >= l exists iff the object meets the stride-2**l
+    lattice, so the answer is the largest l with a row at that stride.
+    """
     ranges = _int_ranges(o)
-    if ranges is None:
-        raise EmptyObjectError("object contains no grid point")
-    cap = min(_max_coord_level(a, b) for a, b in ranges)
-    if isinstance(o, (Cube, Box)):
-        # The box is a product set, so max-min splits per axis.
-        return cap
-    if _is_rational_ball(o):
-        cnum, den, rnum = _ball_int_args(o)
-        lo = tuple(a for a, _ in ranges)
-        hi = tuple(b for _, b in ranges)
-        level = kernels.ball_max_level(lo, hi, cnum, den, rnum, cap)
-        if level < 0:
-            raise EmptyObjectError("object contains no grid point")
-        return level
-    for level in range(cap, -1, -1):
-        stride = 1 << level
-        axes = []
-        for a, b in ranges:
-            start = -((-a) // stride) * stride
-            axes.append(range(start, b + 1, stride))
-        if any(contains(o, p) for p in product(*axes)):
-            return level
+    if ranges is not None:
+        cap = min(_max_coord_level(a, b) for a, b in ranges)
+        for level in range(cap, -1, -1):
+            if next(_rows(o, ranges, 1 << level), None) is not None:
+                return level
     raise EmptyObjectError("object contains no grid point")
 
 
@@ -408,20 +427,18 @@ def points_of_level(o: FatObject, level: int) -> list[Point]:
     ranges = _int_ranges(o)
     if ranges is None:
         return []
-    lo = tuple(a for a, _ in ranges)
-    hi = tuple(b for _, b in ranges)
-    if isinstance(o, (Cube, Box)):
-        return kernels.box_points_of_level(lo, hi, level)
-    if _is_rational_ball(o):
-        cnum, den, rnum = _ball_int_args(o)
-        return kernels.ball_points_of_level(lo, hi, cnum, den, rnum, level)
     stride = 1 << level
-    axes = []
-    for a, b in ranges:
-        start = -((-a) // stride) * stride
-        axes.append(range(start, b + 1, stride))
-    return [p for p in product(*axes)
-            if any((v >> level) & 1 for v in p) and contains(o, p)]
+    out: list[Point] = []
+    for prefix, a, b in _rows(o, ranges, stride):
+        step = stride
+        if not any((v >> level) & 1 for v in prefix):
+            # Level exactly ``level`` needs a coordinate that is an odd
+            # multiple of stride; the prefix has none, so x must be one.
+            step = 2 * stride
+            if not (a >> level) & 1:
+                a += stride
+        out.extend(zip(*map(repeat, prefix), range(a, b + 1, step)))
+    return out
 
 
 def count_level_at_least(c: Cube, level: int) -> int:

@@ -161,17 +161,8 @@ def engine_opponent(eng: EngineState):
 
 def first_point_opponent(o: FatObject) -> list[Point]:
     """Baseline: place one deterministic point inside the object."""
-    ec = geometry.enclosing_cube(o)
-    mids = [c + ec.width / 2 for c in ec.corner]
-    for p in product(*((scalar_floor(m), scalar_floor(m) + 1) for m in mids)):
-        if all(c >= 1 for c in p) and geometry.contains(o, p):
-            return [p]
-    ranges = geometry._int_ranges(o)
-    if ranges is not None:
-        for p in product(*(range(a, b + 1) for a, b in ranges)):
-            if geometry.contains(o, p):
-                return [p]
-    return []
+    p = geometry.find_grid_point(o)
+    return [] if p is None else [p]
 
 
 def run_adversary(d: int, N: int, shape: str = "cube",
@@ -458,8 +449,9 @@ def verify_level_width(N: int = 64, dims=(1, 2, 3), count: int = 10_000,
     the levels is re-derived with the naive enumeration oracle.
     """
     res = SuiteResult("levelwidth", True, 0)
-    per_d = count // len(dims)
-    for d in dims:
+    for k, d in enumerate(dims):
+        # Spread the remainder so that exactly ``count`` objects are checked.
+        per_d = count // len(dims) + (k < count % len(dims))
         fat = sqrt_exact(d) if d > 1 else Fraction(2)
         inst = gen_random(d, N, fat, ("ball", "cube", "box"), per_d, seed + d)
         crossed = 0

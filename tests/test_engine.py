@@ -134,14 +134,6 @@ class TestRunInvariants:
                 runs.append((decisions, eng.hitting_set()))
             assert runs[0] == runs[1]
 
-    def test_index_and_scan_agree(self):
-        for inst in self.fuzz_instances(15):
-            plain = new_engine(inst.grid, inst.fatness)
-            indexed = new_engine(inst.grid, inst.fatness, use_index=True)
-            for o in inst.objects:
-                assert plain.process(o) == indexed.process(o)
-            assert plain.hitting_set() == indexed.hitting_set()
-
     def test_instrumentation_does_not_change_decisions(self):
         for inst in self.fuzz_instances(15):
             tracked = new_engine(inst.grid, inst.fatness, instrument=True)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from gridhit import geometry as G
 from gridhit.errors import EmptyObjectError, FatnessViolation, GridBoundsError
 from gridhit.exactnum import is_rational, scalar_floor, sqrt_exact
-from gridhit.geometry import Ball, Box, Cube, CustomShape, GridSpec
+from gridhit.geometry import Ball, Box, Cube, GridSpec
 
 F = Fraction
 
@@ -136,19 +136,26 @@ class TestEnumeration:
         assert G.grid_points_in(o) == want
         assert G.count_grid_points(o) == len(want)
         assert G.has_grid_point(o) == bool(want)
+        p = G.find_grid_point(o)
+        assert p in want if want else p is None
 
     def test_empty_is_legal(self):
         assert G.grid_points_in(Cube((0, 0), 1)) == []
         assert not G.has_grid_point(Cube((0, 0), 1))
 
-    def test_custom_shape_bundle(self):
-        # A diamond |x-4|+|y-4| < 2 via the extension bundle.
-        member = lambda p: abs(p[0] - 4) + abs(p[1] - 4) < 2
-        o = CustomShape(member, Cube((2, 2), 4), Cube((3, 3), 2), F(2) ** 2)
-        assert G.grid_points_in(o) == [(3, 4), (4, 3), (4, 4), (4, 5), (5, 4)]
+    def test_irrational_ball_filter_path(self):
+        # An irrational center sends enumeration through the contains filter.
+        o = Ball((4 + sqrt_exact(2) / 4, 4), sqrt_exact(2))
+        want = [(3, 4), (4, 3), (4, 4), (4, 5), (5, 3), (5, 4), (5, 5)]
+        assert naive_interior(o, bound=16) == want
+        assert G.grid_points_in(o) == want
+        assert G.count_grid_points(o) == 7
+        assert G.find_grid_point(o) == (4, 4)
         assert G.object_level(o) == 2
         assert G.points_of_level(o, 2) == [(4, 4)]
-        assert G.out_width(o) == 4 and G.in_width(o) == 2
+        assert G.points_of_level(o, 0) == \
+            [p for p in want if naive_point_level(p) == 0]
+        assert G.out_width(o) == 2 * sqrt_exact(2) and G.in_width(o) == 2
 
 
 # -- object level ------------------------------------------------------------------

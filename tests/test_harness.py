@@ -226,9 +226,9 @@ class TestRunAdversary:
 
 class TestVerifySuites:
     def test_levelwidth_passes(self):
-        res = harness.verify_level_width(count=600, cross_check=40)
+        res = harness.verify_level_width(cross_check=40)
         assert res.passed, res.violations
-        assert res.checked >= 598
+        assert res.checked == 10_000
 
     def test_levelcount_passes(self):
         res = harness.verify_level_count(N=32)

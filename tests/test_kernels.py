@@ -1,27 +1,31 @@
-"""Kernel twins: the compiled module must match the pure one bit for bit,
-and both must match a filter-everything oracle."""
+"""Lattice enumeration kernels: the public ``geometry`` queries on balls
+and boxes must match a filter-everything oracle, stay exact on huge
+denominators and ``isqrt`` boundaries, stay lazy on huge objects, and
+leave no cyclic garbage."""
 
+import gc
+import time
+from fractions import Fraction
 from itertools import product
-from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridhit import _pykernels, kernels
+from gridhit import geometry as G
+from gridhit.errors import EmptyObjectError
+from gridhit.exactnum import sqrt_exact
+from gridhit.geometry import Ball, Box, Cube
 
-speedups = pytest.importorskip("gridhit._speedups") \
-    if kernels.HAVE_SPEEDUPS else None
-
-needs_speedups = pytest.mark.skipif(not kernels.HAVE_SPEEDUPS,
-                                    reason="compiled kernels not built")
+F = Fraction
 
 
-def naive_ball_points(lo, hi, cnum, den, rnum):
-    out = []
-    for p in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if sum((x * den - c) ** 2 for x, c in zip(p, cnum)) < rnum * rnum:
-            out.append(p)
-    return out
+def naive_ball_points(cnum, den, rnum):
+    """Integer points x >= 1 with sum((x*den - c)**2) < rnum**2, by
+    filtering the ball's bounding box."""
+    axes = [range(max(1, (c - rnum) // den), (c + rnum) // den + 1)
+            for c in cnum]
+    return [p for p in product(*axes)
+            if sum((x * den - c) ** 2 for x, c in zip(p, cnum)) < rnum * rnum]
 
 
 def naive_level(i):
@@ -30,6 +34,10 @@ def naive_level(i):
         i //= 2
         level += 1
     return level
+
+
+def ball_of(cnum, den, rnum):
+    return Ball(tuple(F(c, den) for c in cnum), F(rnum, den))
 
 
 _SPAN = {1: 256, 2: 48, 3: 14}
@@ -43,125 +51,128 @@ ball_cases = st.integers(1, 3).flatmap(lambda d: st.tuples(
 
 
 class TestPureKernels:
+    """Every query through the one row primitive, against naive filters."""
+
     def test_int_level_examples(self):
-        assert _pykernels.int_level(8) == 3
-        assert _pykernels.int_level(1) == 0
-        assert _pykernels.int_level(12) == 2
+        assert G.int_level(8) == 3
+        assert G.int_level(1) == 0
+        assert G.int_level(12) == 2
         with pytest.raises(ValueError):
-            _pykernels.int_level(0)
+            G.int_level(0)
         with pytest.raises(ValueError):
-            _pykernels.int_level(-4)
+            G.int_level(-4)
 
     @given(st.integers(1, 1 << 40))
     def test_int_level_matches_division_loop(self, i):
-        assert _pykernels.int_level(i) == naive_level(i)
+        assert G.int_level(i) == naive_level(i)
 
     @given(st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=4))
     def test_point_level_is_min(self, coords):
-        assert _pykernels.point_level(tuple(coords)) == \
+        assert G.point_level(tuple(coords)) == \
             min(naive_level(c) for c in coords)
 
-    @settings(max_examples=60)
+    @settings(max_examples=60, deadline=None)
     @given(ball_cases)
     def test_ball_points_match_naive_filter(self, case):
         d, cnum, den, rnum = case
-        lo, hi = (1,) * d, (_SPAN[d],) * d
-        got = _pykernels.ball_points(lo, hi, tuple(cnum), den, rnum)
-        want = naive_ball_points(lo, hi, tuple(cnum), den, rnum)
-        assert got == want
-        assert _pykernels.ball_count(lo, hi, tuple(cnum), den, rnum) == len(want)
+        ball = ball_of(cnum, den, rnum)
+        want = naive_ball_points(cnum, den, rnum)
+        assert G.grid_points_in(ball) == want
+        assert G.count_grid_points(ball) == len(want)
+        assert G.has_grid_point(ball) == bool(want)
 
-    @settings(max_examples=60)
+    @settings(max_examples=60, deadline=None)
     @given(ball_cases, st.integers(0, 4))
     def test_ball_points_of_level_match_filter(self, case, level):
         d, cnum, den, rnum = case
-        lo, hi = (1,) * d, (_SPAN[d],) * d
-        want = [p for p in naive_ball_points(lo, hi, tuple(cnum), den, rnum)
+        want = [p for p in naive_ball_points(cnum, den, rnum)
                 if min(naive_level(c) for c in p) == level]
-        got = _pykernels.ball_points_of_level(lo, hi, tuple(cnum), den, rnum,
-                                              level)
-        assert got == want
+        assert G.points_of_level(ball_of(cnum, den, rnum), level) == want
 
-    @settings(max_examples=60)
+    @settings(max_examples=60, deadline=None)
     @given(ball_cases)
     def test_ball_max_level_matches_filter(self, case):
         d, cnum, den, rnum = case
-        lo, hi = (1,) * d, (_SPAN[d],) * d
-        pts = naive_ball_points(lo, hi, tuple(cnum), den, rnum)
-        want = max((min(naive_level(c) for c in p) for p in pts), default=-1)
-        cap = _SPAN[d].bit_length()  # at least the largest reachable level
-        assert _pykernels.ball_max_level(lo, hi, tuple(cnum), den, rnum,
-                                         cap) == want
+        pts = naive_ball_points(cnum, den, rnum)
+        ball = ball_of(cnum, den, rnum)
+        if not pts:
+            with pytest.raises(EmptyObjectError):
+                G.object_level(ball)
+            return
+        assert G.object_level(ball) == \
+            max(min(naive_level(c) for c in p) for p in pts)
 
     @given(st.integers(1, 3), st.integers(0, 4), st.integers(1, 30),
            st.integers(0, 40))
     def test_box_points_of_level(self, d, level, span, offset):
-        lo = (1 + offset,) * d
-        hi = (offset + span,) * d
-        want = [p for p in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+        # The open box (offset, offset + span + 1)^d holds the integers
+        # offset+1 .. offset+span on every axis.
+        box = Box((offset,) * d, (span + 1,) * d)
+        axis = range(1 + offset, offset + span + 1)
+        want = [p for p in product(axis, repeat=d)
                 if min(naive_level(c) for c in p) == level]
-        assert _pykernels.box_points_of_level(lo, hi, level) == want
-
-
-@needs_speedups
-class TestCompiledTwin:
-    @given(st.integers(1, (1 << 62) - 1))
-    def test_int_level(self, i):
-        assert speedups.int_level(i) == _pykernels.int_level(i)
-
-    @given(st.lists(st.integers(1, 10 ** 9), min_size=1, max_size=4))
-    def test_point_level(self, coords):
-        assert speedups.point_level(tuple(coords)) == \
-            _pykernels.point_level(tuple(coords))
-
-    @settings(max_examples=80)
-    @given(ball_cases, st.integers(0, 5))
-    def test_ball_functions_agree(self, case, level):
-        d, cnum, den, rnum = case
-        lo, hi = (1,) * d, (_SPAN[d],) * d
-        args = (lo, hi, tuple(cnum), den, rnum)
-        assert speedups.ball_points(*args) == _pykernels.ball_points(*args)
-        assert speedups.ball_count(*args) == _pykernels.ball_count(*args)
-        assert speedups.ball_points_of_level(*args, level) == \
-            _pykernels.ball_points_of_level(*args, level)
-        assert speedups.ball_max_level(*args, 7) == \
-            _pykernels.ball_max_level(*args, 7)
-
-    @given(st.integers(1, 3), st.integers(0, 5), st.integers(1, 40))
-    def test_box_points_of_level_agree(self, d, level, span):
-        lo, hi = (1,) * d, (span,) * d
-        assert speedups.box_points_of_level(lo, hi, level) == \
-            _pykernels.box_points_of_level(lo, hi, level)
-
-    def test_unsupported_dimension_raises(self):
-        with pytest.raises(ValueError):
-            speedups.ball_points((1,) * 4, (2,) * 4, (1,) * 4, 1, 1)
+        assert G.points_of_level(box, level) == want
 
 
 class TestDispatch:
+    """Rational balls take the exact ``isqrt`` rows whatever their size."""
+
     def test_large_denominator_takes_pure_path(self):
-        # Arguments past the int64 guard must still give exact answers.
+        # Coordinates with a 2**40 denominator must still give exact answers.
+        eps = F(1, 1 << 40)
+        ball = Ball((F(3, 2) + eps, F(3, 2) + eps), 1)
+        assert G.grid_points_in(ball) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        # (2, 2) lies 2**-40 inside the boundary, (0, 2) is off the grid.
+        ball = Ball((1 + eps, 2), 1)
+        assert G.grid_points_in(ball) == [(1, 2), (2, 2)]
         den = 1 << 40
-        cnum = (3 * den // 2, 3 * den // 2)
-        rnum = den
-        got = kernels.ball_points((1, 1), (5, 5), cnum, den, rnum)
-        assert got == naive_ball_points((1, 1), (5, 5), cnum, den, rnum)
-        assert got == [(1, 1), (1, 2), (2, 1), (2, 2)]
-
-    def test_dispatcher_matches_pure_on_safe_args(self):
-        args = ((1, 1), (64, 64), (500, 500), 16, 400)
-        assert kernels.ball_points(*args) == _pykernels.ball_points(*args)
-
-    def test_backend_reported(self):
-        assert kernels.BACKEND in ("compiled", "pure")
+        assert G.grid_points_in(ball) == \
+            naive_ball_points((den + 1, 2 * den), den, den)
 
     def test_guard_boundary_is_exact(self):
         # isqrt fixups near perfect squares: radius**2 - 1 boundary
         for rnum in (1, 2, 15, 16, 17, (1 << 15) - 1):
-            lo, hi = (1,), (1 << 16,)
-            c = ((1 << 15),)
-            got = kernels.ball_points(lo, hi, c, 1, rnum)
+            got = G.grid_points_in(Ball((1 << 15,), rnum))
             lo_want = (1 << 15) - rnum + 1
             hi_want = (1 << 15) + rnum - 1
             assert got[0] == (lo_want,) and got[-1] == (hi_want,)
             assert len(got) == 2 * rnum - 1
+
+
+class TestLaziness:
+    def test_enumeration_leaves_no_cyclic_garbage(self):
+        rational = Ball((F(33, 2), 17), F(21, 2))
+        irrational = Ball((17 + sqrt_exact(2) / 3, 17), 10 + sqrt_exact(2))
+        queries = (G.grid_points_in, G.count_grid_points, G.has_grid_point,
+                   G.find_grid_point, G.object_level,
+                   lambda o: G.points_of_level(o, 1))
+        gc.collect()
+        gc.disable()
+        try:
+            for ball in (rational, irrational):
+                for query in queries:
+                    query(ball)
+                    assert gc.collect() == 0, (ball, query)
+        finally:
+            gc.enable()
+
+    def test_has_grid_point_on_huge_ball_exits_early(self):
+        ball = Ball((1 << 23, 1 << 23), 1 << 23)  # fills (0, 2**24)^2
+        t0 = time.perf_counter()
+        assert G.has_grid_point(ball)
+        assert G.find_grid_point(ball) == (1 << 23, 1 << 23)
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("o", [Cube((0, 0, 0), 1 << 512),
+                                   Box((0, 0, 0), (1 << 512, 1 << 511, 1 << 510))])
+    def test_huge_box_queries_are_instant(self, o):
+        t0 = time.perf_counter()
+        assert G.has_grid_point(o)
+        level = G.object_level(o)
+        top = G.points_of_level(o, level)
+        assert time.perf_counter() - t0 < 1.0
+        assert all(G.point_level(p) == level for p in top)
+        if isinstance(o, Cube):
+            assert level == 511 and top == [(1 << 511,) * 3]
+        else:
+            assert level == 509 and len(top) == 7 * 3 * 1
