@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product, repeat
 from math import isqrt, lcm, prod
 from typing import Iterator, Optional, Union
@@ -253,8 +254,9 @@ def validate_in_grid(o: FatObject, grid: GridSpec) -> None:
 # -- lattice enumeration --------------------------------------------------------
 #
 # Every query below consumes one primitive, ``_rows``: the object's points
-# on a stride lattice, grouped into runs along the last axis.  A box, being
-# a product set, is counted and tested for a point from its ranges alone.
+# on a stride lattice, grouped into runs along the last axis; ``grid_rows``
+# is its public stride-1 form.  A box, being a product set, is counted,
+# tested for a point and levelled from its ranges alone.
 
 def _int_ranges(o: FatObject) -> list[tuple[int, int]] | None:
     """Per-axis inclusive integer candidate bounds, clipped to coords >= 1.
@@ -353,28 +355,36 @@ def _ball_rows(ranges, stride, cnum, den, rem, prefix) -> Iterator[Row]:
                               prefix + (x,))
 
 
+def grid_rows(o: FatObject) -> Iterator[Row]:
+    """The object's integer points as rows ``(prefix, a, b)`` in
+    lexicographic order: the points with first d-1 coordinates ``prefix``
+    are exactly ``prefix + (x,)`` for a <= x <= b.  Coordinates are >= 1,
+    as in ``grid_points_in``.  Lazy, so a caller that stops early pays
+    only for the rows it read.
+    """
+    ranges = _int_ranges(o)
+    if ranges is None:
+        return iter(())
+    return _rows(o, ranges, 1)
+
+
 def grid_points_in(o: FatObject) -> list[Point]:
     """All integer points strictly inside the object, lexicographically.
 
     For an object that lies inside its grid these are exactly the points
     of P it contains.
     """
-    ranges = _int_ranges(o)
-    if ranges is None:
-        return []
     out: list[Point] = []
-    for prefix, a, b in _rows(o, ranges, 1):
+    for prefix, a, b in grid_rows(o):
         out.extend(zip(*map(repeat, prefix), range(a, b + 1)))
     return out
 
 
 def count_grid_points(o: FatObject) -> int:
-    ranges = _int_ranges(o)
-    if ranges is None:
-        return 0
     if isinstance(o, (Cube, Box)):
-        return prod(b - a + 1 for a, b in ranges)
-    return sum(b - a + 1 for _, a, b in _rows(o, ranges, 1))
+        ranges = _int_ranges(o)
+        return 0 if ranges is None else prod(b - a + 1 for a, b in ranges)
+    return sum(b - a + 1 for _, a, b in grid_rows(o))
 
 
 def find_grid_point(o: FatObject) -> Optional[Point]:
@@ -384,15 +394,12 @@ def find_grid_point(o: FatObject) -> Optional[Point]:
     first, in lexicographic order (an immediate hit for any large object);
     otherwise the lexicographically first point inside.
     """
-    ranges = _int_ranges(o)
-    if ranges is None:
-        return None
     ec = enclosing_cube(o)
     mids = [scalar_floor(c + ec.width / 2) for c in ec.corner]
     for p in product(*((m, m + 1) for m in mids)):
-        if all(a <= x <= b for x, (a, b) in zip(p, ranges)) and contains(o, p):
+        if min(p) >= 1 and contains(o, p):
             return p
-    for prefix, a, _ in _rows(o, ranges, 1):
+    for prefix, a, _ in grid_rows(o):
         return prefix + (a,)
     return None
 
@@ -409,13 +416,24 @@ def object_level(o: FatObject) -> int:
 
     A point of level >= l exists iff the object meets the stride-2**l
     lattice, so the answer is the largest l with a row at that stride.
+    A box meets it iff every axis has a multiple of 2**l (a product set),
+    so its answer is the cap over its axes.
     """
     ranges = _int_ranges(o)
-    if ranges is not None:
-        cap = min(_max_coord_level(a, b) for a, b in ranges)
-        for level in range(cap, -1, -1):
-            if next(_rows(o, ranges, 1 << level), None) is not None:
-                return level
+    if ranges is None:
+        raise EmptyObjectError("object contains no grid point")
+    cap = min(_max_coord_level(a, b) for a, b in ranges)
+    if isinstance(o, (Cube, Box)):
+        return cap
+    if _is_rational_ball(o):
+        cnum, den, rnum = _ball_int_args(o)
+        rows = partial(_ball_rows, ranges, cnum=cnum, den=den,
+                       rem=rnum * rnum, prefix=())
+    else:
+        rows = partial(_rows, o, ranges)
+    for level in range(cap, -1, -1):
+        if next(rows(stride=1 << level), None) is not None:
+            return level
     raise EmptyObjectError("object contains no grid point")
 
 

@@ -1,17 +1,22 @@
 """Exact minimum hitting sets for finished object sequences.
 
 The offline optimum is the denominator of every competitive ratio, so it
-has to be certified exact.  Desk-scale instances reduce to a few hundred
-distinct candidate signatures; branch and bound with signature
-deduplication and dominance pruning then solves them in milliseconds.
+has to be certified exact.  The reduction sweeps each object's lattice
+rows (``geometry.grid_rows``): along a row the set of objects containing
+a point changes only where some object's interval starts or ends, so it
+costs O(rows log rows), not time or memory in proportion to object area.
+Desk-scale instances reduce to a few hundred distinct candidate
+signatures; branch and bound with signature deduplication and dominance
+pruning then solves them in milliseconds.
 A greedy approximation and a brute-force subset enumeration are provided
 as the fallback and as the independent cross-check.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from gridhit import geometry
 from gridhit.errors import EmptyObjectError
@@ -48,21 +53,20 @@ class HittingSetResult:
         return len(self.points)
 
 
-def _find_full_cover(objects, order) -> Point | None:
+def _find_full_cover(objects, smallest) -> Point | None:
     """Scan the smallest object for a point contained in every object.
 
     A point hitting everything dominates every other candidate, so the
     reduction may stop immediately; this is what keeps nested-game
     instances cheap even when the first object covers most of the grid.
+    The scan walks the object's rows lazily and gives up after
+    ``_FULL_COVER_SCAN_LIMIT`` points, whatever the object's size.
     """
-    smallest = objects[order[0]]
-    scanned = 0
-    for p in geometry.grid_points_in(smallest):
+    rows = geometry.grid_rows(smallest)
+    points = (prefix + (x,) for prefix, a, b in rows for x in range(a, b + 1))
+    for p in islice(points, _FULL_COVER_SCAN_LIMIT):
         if all(geometry.contains(o, p) for o in objects):
             return p
-        scanned += 1
-        if scanned >= _FULL_COVER_SCAN_LIMIT:
-            return None
     return None
 
 
@@ -76,27 +80,36 @@ def reduce_instance(objects: list[FatObject]) -> ReducedInstance:
             raise EmptyObjectError(f"object {i} contains no grid point")
     full = (1 << m) - 1
 
-    order = sorted(range(m), key=lambda i: (geometry.out_width(objects[i]), i))
-    cover_all = _find_full_cover(objects, order)
+    cover_all = _find_full_cover(objects, min(objects, key=geometry.out_width))
     if cover_all is not None:
         return ReducedInstance(list(objects), [cover_all], [full], full)
 
-    masks: dict[Point, int] = {}
-    for i in order:
+    # Sweep: along each row prefix the signature changes only where some
+    # object's interval starts (+bit at a) or ends (-bit at b + 1).
+    events: dict[Point, list[tuple[int, int]]] = defaultdict(list)
+    for i, o in enumerate(objects):
         bit = 1 << i
-        for p in geometry.grid_points_in(objects[i]):
-            masks[p] = masks.get(p, 0) | bit
+        for prefix, a, b in geometry.grid_rows(o):
+            row = events[prefix]
+            row.append((a, bit))
+            row.append((b + 1, -bit))
 
-    # Deduplicate identical signatures, keeping the smallest point.
+    # Prefixes in lexicographic order and x increasing, so the first point
+    # recorded for a signature is its smallest point.
     best: dict[int, Point] = {}
-    for p in sorted(masks):
-        sig = masks[p]
-        if sig not in best:
-            best[sig] = p
+    for prefix in sorted(events):
+        row = sorted(events[prefix])
+        sig = 0
+        for k, (x, delta) in enumerate(row, 1):
+            sig += delta
+            if k < len(row) and row[k][0] == x:
+                continue  # apply every event at x before reading
+            if sig and sig not in best:
+                best[sig] = prefix + (x,)
 
     # Dominance: drop signatures that are strict subsets of a kept one.
     kept: list[int] = []
-    for sig in sorted(best, key=lambda s: (-bin(s).count("1"), best[s])):
+    for sig in sorted(best, key=lambda s: (-s.bit_count(), best[s])):
         if not any(sig & other == sig for other in kept):
             kept.append(sig)
 
@@ -123,7 +136,7 @@ def _disjoint_lower_bound(uncovered: list[int], cand_masks: list[int]) -> int:
     bound, since disjoint objects need distinct points."""
     picked = 0
     used = 0
-    for i in sorted(uncovered, key=lambda i: (bin(cand_masks[i]).count("1"), i)):
+    for i in sorted(uncovered, key=lambda i: (cand_masks[i].bit_count(), i)):
         if cand_masks[i] & used == 0:
             picked += 1
             used |= cand_masks[i]
@@ -141,7 +154,7 @@ def greedy_hitting_set(inst: ReducedInstance) -> HittingSetResult:
         best_idx = -1
         best_gain = -1
         for idx, sig in enumerate(inst.signatures):
-            gain = bin(sig & ~covered).count("1")
+            gain = (sig & ~covered).bit_count()
             if gain > best_gain:
                 best_gain, best_idx = gain, idx
         if best_gain <= 0:

@@ -193,6 +193,21 @@ class TestObjectLevel:
             return
         assert G.object_level(b) == max(naive_point_level(p) for p in pts)
 
+    @settings(max_examples=60)
+    @given(st.lists(st.fractions(min_value=0, max_value=10, max_denominator=4),
+                    min_size=1, max_size=3),
+           st.lists(st.fractions(min_value=F(1, 2), max_value=8,
+                                 max_denominator=4), min_size=3, max_size=3))
+    def test_box_level_is_the_axis_cap(self, corner, widths):
+        # A box's level comes from its ranges alone; check it point by point.
+        b = Box(tuple(corner), tuple(widths[:len(corner)]))
+        pts = naive_interior(b, bound=19)
+        if not pts:
+            with pytest.raises(EmptyObjectError):
+                G.object_level(b)
+            return
+        assert G.object_level(b) == max(naive_point_level(p) for p in pts)
+
 
 class TestPointsOfLevel:
     def test_ball_level_two(self):

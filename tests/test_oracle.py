@@ -1,6 +1,7 @@
 """Offline optimum: reduction soundness, branch and bound vs brute force."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -31,6 +32,45 @@ def raw_brute_force_opt(objects):
             if verify_hitting_set(objects, combo):
                 return size
     raise AssertionError("infeasible instance")
+
+
+def reduce_by_points(objects):
+    """Naive oracle for ``reduce_instance``'s row sweep: a signature per
+    grid point in a dict, then the same deduplication and dominance."""
+    masks = {}
+    for i, o in enumerate(objects):
+        for p in G.grid_points_in(o):
+            masks[p] = masks.get(p, 0) | 1 << i
+    best = {}
+    for p in sorted(masks):
+        best.setdefault(masks[p], p)
+    kept = []
+    for sig in sorted(best, key=lambda s: (-bin(s).count("1"), best[s])):
+        if not any(sig & other == sig for other in kept):
+            kept.append(sig)
+    pairs = sorted((best[sig], sig) for sig in kept)
+    return [p for p, _ in pairs], [sig for _, sig in pairs], (1 << len(objects)) - 1
+
+
+def assert_sweep_matches_points(objects):
+    red = reduce_instance(objects)
+    assert (red.candidates, red.signatures, red.full_mask) == \
+        reduce_by_points(objects), objects
+
+
+def random_object(rng, d):
+    """A cube, box, rational ball or SqrtExt-centred ball inside (0, 26)^d."""
+    kind = rng.choice(("cube", "box", "ball", "irrational-ball"))
+    corner = tuple(F(rng.randrange(0, 64), 4) for _ in range(d))
+    if kind == "cube":
+        return Cube(corner, F(rng.randrange(4, 40), 4))
+    if kind == "box":
+        return Box(corner, tuple(F(rng.randrange(4, 40), 4) for _ in range(d)))
+    radius = F(rng.randrange(3, 20), 4)
+    center = tuple(c + radius for c in corner)
+    if kind == "ball":
+        return Ball(center, radius)
+    return Ball((center[0] + SQRT2 / 7,) + center[1:], radius)
 
 
 def small_instances(count, seed=0):
@@ -88,6 +128,62 @@ class TestReduce:
             assert got.exact
             assert got.size == raw_brute_force_opt(objects)
             assert verify_hitting_set(objects, got.points)
+
+
+class TestSweep:
+    """``reduce_instance`` against the dict reduction, exactly."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_shapes(self, d):
+        rng = random.Random(d)
+        compared = 0
+        for _ in range(40):
+            objects = [random_object(rng, d) for _ in range(rng.randrange(1, 7))]
+            if all(G.has_grid_point(o) for o in objects):
+                assert_sweep_matches_points(objects)
+                compared += 1
+        assert compared >= 20
+
+    def test_touching_intervals(self):
+        # Each object's row ends at b and the next one's starts at b + 1.
+        assert_sweep_matches_points([Cube((0,), 3), Cube((2,), 3), Cube((4,), 2)])
+        assert_sweep_matches_points([Box((0, 0), (4, 3)), Box((1, 2), (3, 3)),
+                                     Box((0, 4), (4, 2))])
+        assert_sweep_matches_points([Ball((3, 3), 2), Cube((1, 4), 4),
+                                     Ball((3 + SQRT2 / 5, 9), 2)])
+
+    def test_nested_and_duplicate_objects(self):
+        outer = Cube((0, 0), 12)
+        inner = Box((F(5, 2), 1), (3, 6))
+        side = Cube((10, 10), 3)
+        assert_sweep_matches_points([outer, inner, side])
+        assert_sweep_matches_points([outer, outer, side, side])
+        assert_sweep_matches_points([side, Ball((11, 11), F(3, 2)), side])
+
+    def test_pools(self):
+        for objects in small_instances(30, seed=21):
+            assert_sweep_matches_points(objects)
+
+
+class TestLargeObjects:
+    """Reduction cost grows with rows, not with area."""
+
+    @pytest.mark.parametrize("objects", [
+        [Cube((0, 0), 1 << 14), Cube((1 << 14, 1 << 14), 1 << 14)],
+        [Ball((1 << 12, 1 << 12), 1 << 12), Ball((3 << 12, 3 << 12), 1 << 12)],
+    ])
+    def test_disjoint_pair(self, objects):
+        t0 = time.perf_counter()
+        red = reduce_instance(objects)
+        assert time.perf_counter() - t0 < 1.0
+        assert red.signatures == [1, 2]
+        assert all(G.contains(o, p) for o, p in zip(objects, red.candidates))
+
+    def test_full_cover_scan_is_lazy(self):
+        t0 = time.perf_counter()
+        red = reduce_instance([Cube((0, 0), 1 << 20)])
+        assert time.perf_counter() - t0 < 1.0
+        assert red.candidates == [(1, 1)] and red.signatures == [1]
 
 
 class TestExact:
