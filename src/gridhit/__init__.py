@@ -20,7 +20,7 @@ from gridhit.adversary import (
     next_object,
     play_game,
 )
-from gridhit.engine import Added, AlreadyHit, Decision, EngineState, new_engine
+from gridhit.engine import Added, AlreadyHit, Decision, EngineState
 from gridhit.errors import (
     EmptyObjectError,
     FatnessViolation,

@@ -6,22 +6,22 @@ point of the object.  Decisions are irrevocable and depend only on the
 current point set and the arriving object, so replaying a transcript
 reproduces the run exactly.
 
-Instrumentation: for every object that was unhit at arrival, the engine
-counts, per (object level, interior point) pair, how many such objects of
-that level contain that point.  Each count is provably at most
-floor((4*fatness + 1)**d) and the engine checks the cap after every step;
-the same cap bounds the number of points any single step may add.
+Proof check: at most floor((4*fatness + 1)**d) objects of one level that
+were unhit at arrival contain any one point, and the same cap bounds the
+points any single step adds.  The engine files unhit objects in a list
+per level and checks the first fact after every step with no state per
+point: a cheap certificate first, an exact count only when it fails.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log2
-from typing import Optional, Union
+from operator import le
+from typing import Union
 
-from gridhit import geometry
+from gridhit import geometry, oracle
 from gridhit.errors import EmptyObjectError, InvariantViolation
 from gridhit.exactnum import Scalar, as_scalar, scalar_floor
 from gridhit.geometry import FatObject, GridSpec, Point
@@ -55,14 +55,12 @@ class EngineState:
     """One online run: strictly sequential; distinct instances are
     independent and may run in parallel.
 
-    ``instrument=False`` skips the per-point instrumentation (the only
-    part of a step that is linear in the object's area), for long sweeps
-    and large-grid games.  ``keep_history=False`` drops per-step records
-    and keeps counts only.
+    ``unhit[l]`` lists, in arrival order, each object of level l that was
+    unhit at arrival, with the low and high corners of its
+    ``geometry.int_ranges``.
     """
 
-    def __init__(self, grid: GridSpec, fatness: Scalar, *,
-                 instrument: bool = True, keep_history: bool = True):
+    def __init__(self, grid: GridSpec, fatness: Scalar):
         fatness = as_scalar(fatness)
         if not fatness >= 1:
             raise ValueError(f"fatness must be >= 1, got {fatness}")
@@ -70,13 +68,9 @@ class EngineState:
         self.fatness = fatness
         self.fatness_sq = fatness * fatness
         self.step_cap = scalar_floor((4 * fatness + 1) ** grid.d)
-        self.instrument = instrument
-        self.keep_history = keep_history
         self.chosen: list[Point] = []
         self._chosen_set: set[Point] = set()
-        self.history: Optional[list[tuple[FatObject, Decision, int]]] = \
-            [] if keep_history else None
-        self.level_point_counts: Counter = Counter()
+        self.unhit: dict[int, list[tuple[FatObject, Point, Point]]] = {}
         self.steps = 0
         self.already_hit_count = 0
 
@@ -94,17 +88,8 @@ class EngineState:
 
         if self.is_hit(o):
             self.already_hit_count += 1
-            decision: Decision = AlreadyHit()
-            if self.keep_history:
-                self.history.append((o, decision, len(self.chosen)))
-            return decision
+            return AlreadyHit()
 
-        if self.instrument:
-            interior = geometry.grid_points_in(o)
-            if not interior:
-                raise EmptyObjectError("object contains no grid point")
-        else:
-            interior = None
         level = geometry.object_level(o)
         added = geometry.points_of_level(o, level)
         if not added:
@@ -119,20 +104,24 @@ class EngineState:
         self.chosen.extend(added)
         self._chosen_set.update(added)
 
-        if interior is not None:
-            keys = [(level, p) for p in interior]
-            self.level_point_counts.update(keys)
-            counts = self.level_point_counts
-            worst = max(counts[k] for k in keys)
+        # Only same-level objects whose ranges meet o's can share a point
+        # with it, so 1 + their number certifies the cap.  Past the cap,
+        # count exactly: dominance keeps the largest signature holding
+        # o's bit, and the full-cover exit returns the full mask.
+        lo, hi = zip(*geometry.int_ranges(o))
+        same = self.unhit.setdefault(level, [])
+        peers = [q for q, qlo, qhi in same
+                 if all(map(le, lo, qhi)) and all(map(le, qlo, hi))]
+        same.append((o, lo, hi))
+        if len(peers) >= self.step_cap:
+            bit = 1 << len(peers)
+            sigs = oracle.reduce_instance(peers + [o]).signatures
+            worst = max(s.bit_count() for s in sigs if s & bit)
             if worst > self.step_cap:
                 raise InvariantViolation(
                     f"some (level, point) pair is shared by {worst} unhit "
                     f"objects, cap is {self.step_cap}")
-
-        decision = Added(tuple(added), level)
-        if self.keep_history:
-            self.history.append((o, decision, len(self.chosen)))
-        return decision
+        return Added(tuple(added), level)
 
     # -- results -------------------------------------------------------------
 
@@ -165,6 +154,3 @@ def check_ratio_bound(grid: GridSpec, fatness: Scalar,
         exact = False
     return RatioReport(ratio, float(factor) * log2(n), within, exact)
 
-
-def new_engine(grid: GridSpec, fatness: Scalar, **kwargs) -> EngineState:
-    return EngineState(grid, fatness, **kwargs)

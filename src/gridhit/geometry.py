@@ -258,11 +258,13 @@ def validate_in_grid(o: FatObject, grid: GridSpec) -> None:
 # is its public stride-1 form.  A box, being a product set, is counted,
 # tested for a point and levelled from its ranges alone.
 
-def _int_ranges(o: FatObject) -> list[tuple[int, int]] | None:
+def int_ranges(o: FatObject) -> list[tuple[int, int]] | None:
     """Per-axis inclusive integer candidate bounds, clipped to coords >= 1.
 
     Returns None when some axis admits no integer, i.e. the object surely
-    contains no grid point.
+    contains no grid point.  Every grid point of the object lies in the
+    product of the ranges, so two objects whose ranges are disjoint on
+    some axis share no grid point.
     """
     ranges = []
     for lo, hi in _extent(o):
@@ -312,7 +314,7 @@ def _rows(o: FatObject, ranges, stride: int) -> Iterator[Row]:
     ``stride``, as rows ``(prefix, a, b)`` in lexicographic order: the
     points with first d-1 coordinates ``prefix`` are exactly
     ``prefix + (x,)`` for the multiples x of stride in [a, b], and a is
-    one of them.  ``ranges`` is ``_int_ranges(o)``.
+    one of them.  ``ranges`` is ``int_ranges(o)``.
 
     A box row is its last-axis range.  A rational ball row comes from an
     ``isqrt`` of the radius left over by the prefix.  Any other object
@@ -362,7 +364,7 @@ def grid_rows(o: FatObject) -> Iterator[Row]:
     as in ``grid_points_in``.  Lazy, so a caller that stops early pays
     only for the rows it read.
     """
-    ranges = _int_ranges(o)
+    ranges = int_ranges(o)
     if ranges is None:
         return iter(())
     return _rows(o, ranges, 1)
@@ -382,7 +384,7 @@ def grid_points_in(o: FatObject) -> list[Point]:
 
 def count_grid_points(o: FatObject) -> int:
     if isinstance(o, (Cube, Box)):
-        ranges = _int_ranges(o)
+        ranges = int_ranges(o)
         return 0 if ranges is None else prod(b - a + 1 for a, b in ranges)
     return sum(b - a + 1 for _, a, b in grid_rows(o))
 
@@ -407,7 +409,7 @@ def find_grid_point(o: FatObject) -> Optional[Point]:
 def has_grid_point(o: FatObject) -> bool:
     if isinstance(o, (Cube, Box)):
         # A product set has a point iff every axis has an integer.
-        return _int_ranges(o) is not None
+        return int_ranges(o) is not None
     return find_grid_point(o) is not None
 
 
@@ -419,7 +421,7 @@ def object_level(o: FatObject) -> int:
     A box meets it iff every axis has a multiple of 2**l (a product set),
     so its answer is the cap over its axes.
     """
-    ranges = _int_ranges(o)
+    ranges = int_ranges(o)
     if ranges is None:
         raise EmptyObjectError("object contains no grid point")
     cap = min(_max_coord_level(a, b) for a, b in ranges)
@@ -442,7 +444,7 @@ def points_of_level(o: FatObject, level: int) -> list[Point]:
     ``level``, lexicographically."""
     if level < 0:
         raise ValueError(f"level must be non-negative, got {level}")
-    ranges = _int_ranges(o)
+    ranges = int_ranges(o)
     if ranges is None:
         return []
     stride = 1 << level

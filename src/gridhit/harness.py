@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -173,7 +174,7 @@ def run_adversary(d: int, N: int, shape: str = "cube",
     base = base_shape(d, shape, aspect)
     fatness = family_fatness(base)
     if opponent == "engine":
-        eng = EngineState(grid, fatness, instrument=False, keep_history=False)
+        eng = EngineState(grid, fatness)
         opp = engine_opponent(eng)
     elif opponent == "baseline":
         opp = first_point_opponent
@@ -536,7 +537,7 @@ def _stepcap_one(i: int, seed: int, d: int) -> dict:
     N = _STEPCAP_NS[i % len(_STEPCAP_NS)]
     fat, shapes = _fatness_cycle(i)
     inst = gen_random(d, N, fat, shapes, 6 + i % 7, seed + i)
-    eng = EngineState(inst.grid, inst.fatness, instrument=True)
+    eng = EngineState(inst.grid, inst.fatness)
     violations = []
     for o in inst.objects:
         try:
@@ -547,11 +548,13 @@ def _stepcap_one(i: int, seed: int, d: int) -> dict:
         if isinstance(decision, Added) and len(decision.points) > eng.step_cap:
             violations.append({"instance": i,
                                "problem": f"step added {len(decision.points)}"})
-    if eng.level_point_counts:
-        worst = max(eng.level_point_counts.values())
-        if worst > eng.step_cap:
-            violations.append({"instance": i,
-                               "problem": f"shared-object counter reached {worst}"})
+    # Recount densely, independently of the engine's own check.
+    counts = Counter((level, p) for level, same in eng.unhit.items()
+                     for o, _, _ in same for p in geometry.grid_points_in(o))
+    worst = max(counts.values(), default=0)
+    if worst > eng.step_cap:
+        violations.append({"instance": i,
+                           "problem": f"shared-object counter reached {worst}"})
     if not oracle.verify_hitting_set(inst.objects, eng.chosen):
         violations.append({"instance": i, "problem": "hitting set incomplete"})
     return {"checked": len(inst.objects), "violations": violations}
@@ -559,8 +562,9 @@ def _stepcap_one(i: int, seed: int, d: int) -> dict:
 
 def verify_step_caps(instances: int = 1000, seed: int = 2203,
                      d: int = 2) -> SuiteResult:
-    """Random online runs: per-step additions and the per-(level, point)
-    instrumented counters stay within floor((4*fatness+1)**d)."""
+    """Random online runs: per-step additions and, recounted densely, the
+    number of same-level objects unhit at arrival that contain any one
+    point stay within floor((4*fatness+1)**d)."""
     res = SuiteResult("stepcap", True, 0)
     for out in _map_indexed(partial(_stepcap_one, seed=seed, d=d), instances):
         res.checked += out["checked"]

@@ -123,8 +123,7 @@ def game_traces():
     for d, n, kind in configs:
         grid = GridSpec(d, n)
         base = base_shape(d, kind)
-        eng = EngineState(grid, sqrt_exact(G.fatness_sq(base)),
-                          instrument=False, keep_history=False)
+        eng = EngineState(grid, sqrt_exact(G.fatness_sq(base)))
         yield grid, base, play_game_traced(grid, base, engine_opponent(eng))
 
 
@@ -172,15 +171,13 @@ class TestGameInvariants:
 class TestForcedMinimum:
     def test_cube_game_forces_log_n(self):
         summary = play_game(GridSpec(2, 1024), base_shape(2, "cube"),
-                            engine_opponent(EngineState(GridSpec(2, 1024), 1,
-                                                        instrument=False)))
+                            engine_opponent(EngineState(GridSpec(2, 1024), 1)))
         assert summary.total_points >= 10
         assert summary.forced_minimum_met
 
     def test_ball_game_forces_two_thirds_log_n(self):
         grid = GridSpec(2, 4096)
-        eng = EngineState(grid, sqrt_exact(2), instrument=False,
-                          keep_history=False)
+        eng = EngineState(grid, sqrt_exact(2))
         summary = play_game(grid, base_shape(2, "ball"), engine_opponent(eng))
         assert summary.total_points >= 8  # 12 / (1 + 1/2)
         assert summary.forced_minimum_met
@@ -221,7 +218,7 @@ class TestDeterminism:
         runs = []
         for _ in range(2):
             grid = GridSpec(2, 256)
-            eng = EngineState(grid, sqrt_exact(2), instrument=False)
+            eng = EngineState(grid, sqrt_exact(2))
             state = play_game_traced(grid, base_shape(2, "ball"),
                                      engine_opponent(eng))
             runs.append((state.objects, state.responses, state.empty_cells))

@@ -1,21 +1,58 @@
-"""Online engine: decisions, invariants, instrumentation, determinism."""
+"""Online engine: decisions, invariants, the per-level proof check,
+determinism."""
 
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from gridhit import geometry as G
 from gridhit import oracle
-from gridhit.engine import Added, AlreadyHit, EngineState, new_engine
-from gridhit.errors import EmptyObjectError, FatnessViolation, GridBoundsError
+from gridhit.engine import Added, AlreadyHit, EngineState
+from gridhit.errors import (
+    EmptyObjectError,
+    FatnessViolation,
+    GridBoundsError,
+    InvariantViolation,
+)
 from gridhit.exactnum import sqrt_exact
-from gridhit.geometry import Ball, Box, Cube, GridSpec
+from gridhit.geometry import Ball, Cube, GridSpec
 from gridhit.harness import gen_random
 
 F = Fraction
 SQRT2 = sqrt_exact(2)
 
 GRID16 = GridSpec(2, 16)
+
+
+def dense_counts(eng):
+    """Test-only reference for the engine's proof check: per (level,
+    point), the number of objects filed in ``eng.unhit`` that contain the
+    point, counted point by point."""
+    return Counter((level, p) for level, same in eng.unhit.items()
+                   for o, _, _ in same for p in G.grid_points_in(o))
+
+
+def process_all(eng, objects):
+    """Process the objects in order and check that ``eng.unhit`` files
+    exactly those that were unhit at arrival, under their level, with
+    the corners of their integer ranges."""
+    expected = {}
+    for o in objects:
+        decision = eng.process(o)
+        if isinstance(decision, Added):
+            lo, hi = zip(*G.int_ranges(o))
+            expected.setdefault(decision.level, []).append((o, lo, hi))
+    assert eng.unhit == expected
+
+
+def fuzz_instances(n=25):
+    for i in range(n):
+        N = (16, 32, 64)[i % 3]
+        fat, shapes = ((F(1), ("cube",)), (SQRT2, ("ball", "cube", "box")),
+                       (F(2), ("ball", "cube", "box")))[i % 3]
+        yield gen_random(2, N, fat, shapes, 6 + i % 5, seed=900 + i)
 
 
 def five_objects_two_hubs():
@@ -33,31 +70,31 @@ def five_objects_two_hubs():
 
 class TestConstruction:
     def test_fresh_engine_is_empty(self):
-        eng = new_engine(GRID16, SQRT2)
+        eng = EngineState(GRID16, SQRT2)
         assert eng.hitting_set() == []
         assert eng.steps == 0
 
     def test_one_dimensional_engine(self):
-        eng = new_engine(GridSpec(1, 4), 1)
+        eng = EngineState(GridSpec(1, 4), 1)
         assert eng.process(Cube((0,), 4)) == Added(((2,),), 1)
 
     def test_fatness_below_one_rejected(self):
         with pytest.raises(ValueError):
-            new_engine(GRID16, F(1, 2))
+            EngineState(GRID16, F(1, 2))
 
     def test_step_cap_values(self):
-        assert new_engine(GRID16, 1).step_cap == 25
-        assert new_engine(GRID16, SQRT2).step_cap == 44
-        assert new_engine(GridSpec(3, 16), sqrt_exact(3)).step_cap == 498
+        assert EngineState(GRID16, 1).step_cap == 25
+        assert EngineState(GRID16, SQRT2).step_cap == 44
+        assert EngineState(GridSpec(3, 16), sqrt_exact(3)).step_cap == 498
 
 
 class TestProcess:
     def test_ball_adds_unique_max_level_point(self):
-        eng = new_engine(GRID16, SQRT2)
+        eng = EngineState(GRID16, SQRT2)
         assert eng.process(Ball((4, 4), F(5, 2))) == Added(((4, 4),), 2)
 
     def test_resubmission_is_already_hit(self):
-        eng = new_engine(GRID16, SQRT2)
+        eng = EngineState(GRID16, SQRT2)
         o = Ball((4, 4), F(5, 2))
         eng.process(o)
         assert eng.process(o) == AlreadyHit()
@@ -65,34 +102,36 @@ class TestProcess:
         assert eng.already_hit_count == 1
 
     def test_single_point_object(self):
-        eng = new_engine(GRID16, SQRT2)
+        eng = EngineState(GRID16, SQRT2)
         assert eng.process(Cube((0, 0), 2)) == Added(((1, 1),), 0)
 
     def test_empty_object_rejected(self):
-        eng = new_engine(GRID16, SQRT2)
+        eng = EngineState(GRID16, SQRT2)
         with pytest.raises(EmptyObjectError):
             eng.process(Cube((0, 0), 1))
 
     def test_fatness_violation(self):
-        eng = new_engine(GRID16, 1)
+        eng = EngineState(GRID16, 1)
         with pytest.raises(FatnessViolation):
             eng.process(Ball((8, 8), 2))
 
     def test_out_of_grid(self):
-        eng = new_engine(GRID16, SQRT2)
+        eng = EngineState(GRID16, SQRT2)
         with pytest.raises(GridBoundsError):
             eng.process(Ball((8, 8), 9))
 
     def test_already_hit_leaves_state_unchanged(self):
-        eng = new_engine(GRID16, SQRT2)
+        eng = EngineState(GRID16, SQRT2)
         eng.process(Ball((4, 4), F(5, 2)))
-        counts_before = dict(eng.level_point_counts)
+        unhit_before = {lvl: list(same) for lvl, same in eng.unhit.items()}
+        counts_before = dense_counts(eng)
         eng.process(Ball((4, 4), 2))  # contains (4,4)
         assert eng.hitting_set() == [(4, 4)]
-        assert dict(eng.level_point_counts) == counts_before
+        assert eng.unhit == unhit_before
+        assert dense_counts(eng) == counts_before
 
     def test_added_points_share_object_level(self):
-        eng = new_engine(GRID16, SQRT2)
+        eng = EngineState(GRID16, SQRT2)
         decision = eng.process(Cube((F(1, 2), F(1, 2)), 7))
         assert isinstance(decision, Added)
         assert decision.level == 2
@@ -101,59 +140,59 @@ class TestProcess:
 
 
 class TestRunInvariants:
-    def fuzz_instances(self, n=25):
-        for i in range(n):
-            N = (16, 32, 64)[i % 3]
-            fat, shapes = ((F(1), ("cube",)), (SQRT2, ("ball", "cube", "box")),
-                           (F(2), ("ball", "cube", "box")))[i % 3]
-            yield gen_random(2, N, fat, shapes, 6 + i % 5, seed=900 + i)
-
     def test_hits_everything_it_saw(self):
-        for inst in self.fuzz_instances():
-            eng = new_engine(inst.grid, inst.fatness)
+        for inst in fuzz_instances():
+            eng = EngineState(inst.grid, inst.fatness)
             for o in inst.objects:
                 eng.process(o)
             assert oracle.verify_hitting_set(inst.objects, eng.hitting_set())
 
     def test_step_bound_and_counter_caps(self):
-        for inst in self.fuzz_instances():
-            eng = new_engine(inst.grid, inst.fatness)
+        for inst in fuzz_instances():
+            eng = EngineState(inst.grid, inst.fatness)
             for o in inst.objects:
                 decision = eng.process(o)
                 if isinstance(decision, Added):
                     assert len(decision.points) <= eng.step_cap
-            if eng.level_point_counts:
-                assert max(eng.level_point_counts.values()) <= eng.step_cap
+                    worst = max(dense_counts(eng).values())
+                    assert worst <= eng.step_cap
 
     def test_replay_reproduces_run(self):
-        for inst in self.fuzz_instances(10):
+        for inst in fuzz_instances(10):
             runs = []
             for _ in range(2):
-                eng = new_engine(inst.grid, inst.fatness)
+                eng = EngineState(inst.grid, inst.fatness)
                 decisions = [eng.process(o) for o in inst.objects]
                 runs.append((decisions, eng.hitting_set()))
             assert runs[0] == runs[1]
 
-    def test_instrumentation_does_not_change_decisions(self):
-        for inst in self.fuzz_instances(15):
-            tracked = new_engine(inst.grid, inst.fatness, instrument=True)
-            bare = new_engine(inst.grid, inst.fatness, instrument=False)
-            for o in inst.objects:
-                assert tracked.process(o) == bare.process(o)
-
     def test_counts_only_mode(self):
-        inst = next(iter(self.fuzz_instances(1)))
-        eng = new_engine(inst.grid, inst.fatness, keep_history=False)
+        """The engine keeps counts and the unhit lists, no per-step
+        records."""
+        for inst in fuzz_instances(5):
+            eng = EngineState(inst.grid, inst.fatness)
+            process_all(eng, inst.objects)
+            assert eng.steps == len(inst.objects)
+            filed = sum(len(same) for same in eng.unhit.values())
+            assert filed + eng.already_hit_count == eng.steps
+
+    def test_large_grid_in_bounded_time(self):
+        """N = 16384: the check costs nothing per point, so 30 objects of
+        up to the grid's width take milliseconds, not memory in
+        proportion to their area."""
+        inst = gen_random(2, 16384, SQRT2, count=30, seed=7)
+        eng = EngineState(inst.grid, inst.fatness)
+        start = time.perf_counter()
         for o in inst.objects:
             eng.process(o)
-        assert eng.history is None
-        assert eng.steps == len(inst.objects)
+        assert time.perf_counter() - start < 1.0
+        assert eng.steps == 30
 
 
 class TestRatioReport:
     def test_five_objects_two_hubs(self):
         objs = five_objects_two_hubs()
-        eng = new_engine(GRID16, 1)
+        eng = EngineState(GRID16, 1)
         for o in objs:
             assert isinstance(eng.process(o), Added)
         assert len(eng.hitting_set()) == 5
@@ -165,23 +204,23 @@ class TestRatioReport:
         assert report.within_bound and report.exact_comparison
 
     def test_empty_engine(self):
-        eng = new_engine(GRID16, SQRT2)
+        eng = EngineState(GRID16, SQRT2)
         assert eng.ratio_report(1).ratio == 0
 
     def test_zero_opt_rejected(self):
-        eng = new_engine(GRID16, SQRT2)
+        eng = EngineState(GRID16, SQRT2)
         with pytest.raises(ValueError):
             eng.ratio_report(0)
 
     def test_single_step_within_step_cap(self):
-        eng = new_engine(GRID16, SQRT2)
+        eng = EngineState(GRID16, SQRT2)
         decision = eng.process(Ball((8, 8), 8))
         assert isinstance(decision, Added)
         assert len(decision.points) <= eng.step_cap
         assert eng.ratio_report(1).ratio == len(decision.points)
 
     def test_non_power_of_two_grid_uses_float_bound(self):
-        eng = new_engine(GridSpec(2, 17), SQRT2)
+        eng = EngineState(GridSpec(2, 17), SQRT2)
         report = eng.ratio_report(1)
         assert not report.exact_comparison
         assert report.within_bound
@@ -189,23 +228,75 @@ class TestRatioReport:
 
 class TestInstrumentationCounters:
     def test_counters_track_unhit_objects_only(self):
-        eng = new_engine(GRID16, SQRT2)
+        eng = EngineState(GRID16, SQRT2)
         first = Ball((4, 4), F(5, 2))
-        eng.process(first)
-        # A disjoint object of the same level contributes separately.
-        eng.process(Ball((12, 12), F(5, 2)))
-        level = G.object_level(first)
-        for (lvl, p), cnt in eng.level_point_counts.items():
+        second = Ball((12, 12), F(5, 2))
+        # A disjoint object contributes separately; a hit one not at all.
+        process_all(eng, [first, second, Ball((4, 4), 2)])
+        levels = {G.object_level(first), G.object_level(second)}
+        counts = dense_counts(eng)
+        assert counts
+        for (lvl, p), cnt in counts.items():
             assert cnt == 1
-            assert lvl in (level, G.object_level(Ball((12, 12), F(5, 2))))
+            assert lvl in levels
 
     def test_overlapping_unhit_objects_accumulate(self):
-        eng = new_engine(GRID16, F(4))
-        # Same level-0 region, hit points kept disjoint via thin boxes.
-        a = Box((F(1, 2), F(1, 2)), (4, 1))
-        b = Box((F(1, 2), F(3, 2)), (4, 1))
-        da = eng.process(a)
-        db = eng.process(b)
-        assert isinstance(da, Added) and isinstance(db, Added)
-        shared = set(G.grid_points_in(a)) & set(G.grid_points_in(b))
-        assert not shared  # sanity: they do not actually overlap on points
+        eng = EngineState(GRID16, SQRT2)
+        # Level-1 cubes {1,2,3}^2 and {3,4,5}x{1,2,3}: each adds its one
+        # level-1 point, (2,2) and (4,2), and they share the column x=3.
+        a = Cube((F(1, 2), F(1, 2)), 3)
+        b = Cube((F(5, 2), F(1, 2)), 3)
+        process_all(eng, [a, b])
+        assert [len(same) for same in eng.unhit.values()] == [2]
+        counts = dense_counts(eng)
+        assert counts[(1, (3, 1))] == 2
+        assert max(counts.values()) == 2
+
+    def test_exact_count_when_the_certificate_fails(self, monkeypatch):
+        """Before each unhit step, ``step_cap`` is lowered to the number
+        of points the step adds, so the certificate can fail and the
+        exact count decides.  The engine must raise exactly when the
+        dense reference exceeds the cap.  A raise leaves the engine as a
+        run without it would (the object is filed, its points added), so
+        the run goes on."""
+        exact_calls = []
+        reduce_instance = oracle.reduce_instance
+
+        def spy(objects):
+            exact_calls.append(len(objects))
+            return reduce_instance(objects)
+
+        monkeypatch.setattr(oracle, "reduce_instance", spy)
+        runs = [
+            # Ranges meet only at (7,9), which neither object contains.
+            (GRID16, SQRT2, [Cube((F(13, 2), F(17, 2)), 3),
+                             Ball((6, 8), F(5, 4))]),
+            # The cubes of the test above share the column x=3; the ball
+            # filed first meets the second cube's ranges only at (5,3),
+            # which neither contains.
+            (GRID16, SQRT2, [Ball((6, 4), F(5, 4)),
+                             Cube((F(1, 2), F(1, 2)), 3),
+                             Cube((F(5, 2), F(1, 2)), 3)]),
+        ] + [(inst.grid, inst.fatness, inst.objects)
+             for inst in fuzz_instances()]
+        outcomes = Counter()
+        for grid, fatness, objects in runs:
+            eng = EngineState(grid, fatness)
+            for o in objects:
+                if eng.is_hit(o):
+                    eng.process(o)
+                    continue
+                level = G.object_level(o)
+                eng.step_cap = len(G.points_of_level(o, level))
+                calls = len(exact_calls)
+                try:
+                    eng.process(o)
+                    raised = False
+                except InvariantViolation:
+                    raised = True
+                counts = dense_counts(eng)
+                worst = max(counts[(level, p)] for p in G.grid_points_in(o))
+                assert raised == (worst > eng.step_cap)
+                outcomes[len(exact_calls) > calls, raised] += 1
+        assert outcomes[True, False] and outcomes[True, True]
+        assert not outcomes[False, True]
