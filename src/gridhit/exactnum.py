@@ -2,22 +2,24 @@
 
 Every width, coordinate and fatness value in this package is an exact
 scalar: an int, a Fraction, or a SqrtExt value ``a + b*sqrt(s)`` with
-rational a, b, s.  The extension field shows up naturally: the fatness of
-a d-ball is sqrt(d), and the largest axis-parallel cube inscribed in a
-ball has corners involving sqrt(d).  Keeping those values exact is what
+rational a, b and integer s.  The extension field shows up naturally: the
+fatness of a d-ball is sqrt(d), and the largest axis-parallel cube
+inscribed in a ball has corners involving sqrt(d).  Keeping those values exact is what
 makes open-set membership and the game recurrences deterministic; floats
 never enter a predicate.
 
 Values of SqrtExt are normalized so that a genuinely rational result is
-always returned as a plain Fraction (b is never 0 and s is never a
-perfect square inside a SqrtExt).  Consequently a SqrtExt is always
-irrational and never compares equal to a rational.
+always returned as a plain Fraction: b is never 0, and s is an integer
+that is not a perfect square (``sqrt_exact`` strips its square factors,
+and arithmetic keeps the operands' s).  Consequently a SqrtExt is always
+irrational and never compares equal to a rational, and its floor is
+computed from ``isqrt`` on integers; no float enters a floor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -81,17 +83,14 @@ def sqrt_exact(x: Rational) -> Scalar:
 
 
 def _make(a: Fraction, b: Fraction, s: Fraction) -> Scalar:
-    """Build a normalized scalar a + b*sqrt(s)."""
-    if b == 0 or s == 0:
-        return a
-    root = sqrt_exact(s)
-    if isinstance(root, Fraction):
-        return a + b * root
-    return SqrtExt(a + b * root.a, b * root.b, root.s)
+    """Build a normalized scalar a + b*sqrt(s).  Every caller passes an
+    operand's s, already a non-square integer, so only b == 0 folds."""
+    return SqrtExt(a, b, s) if b else a
 
 
 class SqrtExt:
-    """An irrational value a + b*sqrt(s) with a, b, s rational, b != 0."""
+    """An irrational value a + b*sqrt(s): a, b rational, b != 0, and s an
+    integer that is not a perfect square."""
 
     __slots__ = ("a", "b", "s")
 
@@ -230,15 +229,13 @@ class SqrtExt:
         return float(self.a) + float(self.b) * float(self.s) ** 0.5
 
     def __floor__(self):
-        try:
-            n = int(float(self))
-        except OverflowError:
-            n = 0
-        while n > self:
-            n -= 1
-        while n + 1 <= self:
-            n += 1
-        return n
+        # The value is (p + m*sqrt(s))/q with integers p, m, q > 0, and
+        # |m|*sqrt(s) lies strictly between r and r + 1 as m*m*s is not a
+        # square; no multiple of q lies strictly inside such a unit gap.
+        q = lcm(self.a.denominator, self.b.denominator)
+        p, m = int(self.a * q), int(self.b * q)
+        r = isqrt(m * m * int(self.s))
+        return (p + r) // q if m > 0 else (p - r - 1) // q
 
     def __ceil__(self):
         return -((-self).__floor__())
@@ -264,10 +261,6 @@ def scalar_ceil(x: Scalar) -> int:
 
 def is_rational(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction))
-
-
-def scalar_square(x: Scalar) -> Scalar:
-    return x * x
 
 
 def as_scalar(x) -> Scalar:

@@ -79,12 +79,6 @@ def point_to_json(p) -> list[int]:
     return list(p)
 
 
-def point_from_json(v) -> tuple[int, ...]:
-    if not isinstance(v, list) or not all(isinstance(c, int) for c in v):
-        raise InstanceFormatError(f"bad point {v!r}")
-    return tuple(v)
-
-
 def shape_to_json(o: FatObject) -> dict:
     if isinstance(o, Cube):
         return {"shape": "cube",
@@ -154,7 +148,7 @@ def write_instance(inst: InstanceFile, path) -> None:
         fh.write(serialize_instance(inst))
 
 
-def parse_instance(text: str, validate: bool = True) -> InstanceFile:
+def parse_instance(text: str) -> InstanceFile:
     lines = text.splitlines()
     if not lines:
         raise InstanceFormatError("empty instance file: missing header")
@@ -180,15 +174,14 @@ def parse_instance(text: str, validate: bool = True) -> InstanceFile:
         except json.JSONDecodeError as exc:
             raise InstanceFormatError(f"line {no}: bad JSON: {exc}") from None
         o = shape_from_json(rec)
-        if validate:
-            try:
-                geometry.validate_in_grid(o, grid)
-                geometry.validate_fatness(o, fat_sq)
-            except Exception as exc:
-                raise InstanceFormatError(f"line {no}: {exc}") from None
-            if not geometry.has_grid_point(o):
-                raise InstanceFormatError(
-                    f"line {no}: object contains no grid point")
+        try:
+            geometry.validate_in_grid(o, grid)
+            geometry.validate_fatness(o, fat_sq)
+        except Exception as exc:
+            raise InstanceFormatError(f"line {no}: {exc}") from None
+        if not geometry.has_grid_point(o):
+            raise InstanceFormatError(
+                f"line {no}: object contains no grid point")
         objects.append(o)
     if "count" in header and header["count"] != len(objects):
         raise InstanceFormatError(
@@ -196,9 +189,9 @@ def parse_instance(text: str, validate: bool = True) -> InstanceFile:
     return InstanceFile(grid, fatness, objects, header.get("seed"))
 
 
-def read_instance(path, validate: bool = True) -> InstanceFile:
+def read_instance(path) -> InstanceFile:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read(), validate=validate)
+        return parse_instance(fh.read())
 
 
 def decision_to_json(decision) -> dict:

@@ -16,16 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import product, repeat
-from math import isqrt, lcm, prod
+from math import ceil, floor, isqrt, lcm, prod
 from typing import Iterator, Optional, Union
 
 from gridhit.errors import EmptyObjectError, FatnessViolation, GridBoundsError
 from gridhit.exactnum import (
     Scalar,
+    SqrtExt,
     as_scalar,
-    is_rational,
     scalar_ceil,
     scalar_floor,
     sqrt_exact,
@@ -276,18 +275,20 @@ def int_ranges(o: FatObject) -> list[tuple[int, int]] | None:
     return ranges
 
 
+def _integral(x: Scalar):
+    """An integral rational as an int; a SqrtExt as it is."""
+    return x if isinstance(x, SqrtExt) else int(x)
+
+
 def _ball_int_args(o: Ball):
-    """Scale a rational ball to integers: center num/den, radius num/den."""
-    den = lcm(*(Fraction(c).denominator for c in o.center),
-              Fraction(o.radius).denominator)
-    cnum = tuple(int(Fraction(c) * den) for c in o.center)
-    rnum = int(Fraction(o.radius) * den)
-    return cnum, den, rnum
-
-
-def _is_rational_ball(o: FatObject) -> bool:
-    return (isinstance(o, Ball) and is_rational(o.radius)
-            and all(is_rational(c) for c in o.center))
+    """Scale a ball by the lcm ``den`` of all its rational parts (a SqrtExt
+    has two): center*den and (radius*den)**2 are ints, or SqrtExt values
+    with integer parts.  Returns the center, den and squared radius."""
+    parts = [p for v in (*o.center, o.radius)
+             for p in ((v.a, v.b) if isinstance(v, SqrtExt) else (v,))]
+    den = lcm(*(Fraction(p).denominator for p in parts))
+    cnum = tuple(_integral(c * den) for c in o.center)
+    return cnum, den, _integral((o.radius * den) ** 2)
 
 
 def _align(a: int, stride: int) -> int:
@@ -316,37 +317,45 @@ def _rows(o: FatObject, ranges, stride: int) -> Iterator[Row]:
     ``prefix + (x,)`` for the multiples x of stride in [a, b], and a is
     one of them.  ``ranges`` is ``int_ranges(o)``.
 
-    A box row is its last-axis range.  A rational ball row comes from an
-    ``isqrt`` of the radius left over by the prefix.  Any other object
-    (a ball with irrational parameters) yields the single points that
-    pass ``contains``.  Rows are generated lazily, so the first row of a
-    box costs O(d) whatever its size.
+    A box row is its last-axis range.  A ball row comes from an ``isqrt``
+    of the squared radius left over by the prefix, for rational and
+    irrational balls alike.  Rows are generated lazily, so the first row
+    of a box costs O(d) whatever its size.
     """
-    if _is_rational_ball(o):
-        cnum, den, rnum = _ball_int_args(o)
-        return _ball_rows(ranges, stride, cnum, den, rnum * rnum, ())
+    if isinstance(o, Ball):
+        cnum, den, rr = _ball_int_args(o)
+        return _ball_rows(ranges, stride, cnum, den, rr, ())
     axes = [range(_align(a, stride), b + 1, stride) for a, b in ranges]
     if not all(axes):
         # Checked up front: the lattice would otherwise walk every prefix
         # of the other axes before it found no row.
         return iter(())
-    if isinstance(o, (Cube, Box)):
-        a, b = axes[-1][0], axes[-1][-1]
-        return ((prefix, a, b) for prefix in _lattice(axes[:-1]))
-    return ((p[:-1], p[-1], p[-1]) for p in _lattice(axes) if contains(o, p))
+    a, b = axes[-1][0], axes[-1][-1]
+    return ((prefix, a, b) for prefix in _lattice(axes[:-1]))
 
 
 def _ball_rows(ranges, stride, cnum, den, rem, prefix) -> Iterator[Row]:
-    """Rows of the integer ball sum((x_i*den - cnum_i)**2) < rr, where
-    ``rem`` is rr minus the prefix's share of the sum."""
+    """Rows of the scaled ball sum((x_i*den - cnum_i)**2) < rr, where
+    ``rem`` is rr minus the prefix's share of the sum.
+
+    The row is |x*den - c| < sqrt(rem), with u < sqrt(rem) <= u + 1 for
+    the u below.  For an integer c that is |x*den - c| <= u.  For an
+    irrational c only x*den = floor(c) - u and ceil(c) + u are in doubt,
+    so one exact test per end settles a row of any length.
+    """
     if rem <= 0:
         return
     ax = len(prefix)
     lo, hi = ranges[ax]
     c = cnum[ax]
-    u = isqrt(rem - 1)  # largest |x*den - c| allowed on this axis
-    a = _align(max(lo, -((u - c) // den)), stride)
-    b = min(hi, (c + u) // den)
+    u = isqrt(ceil(rem) - 1)
+    a = _align(max(lo, -((u - floor(c)) // den)), stride)
+    b = min(hi, (ceil(c) + u) // den)
+    if isinstance(c, SqrtExt):
+        if a <= b and not (a * den - c) ** 2 < rem:
+            a += stride
+        if a <= b and not (b * den - c) ** 2 < rem:
+            b -= 1
     if ax == len(ranges) - 1:
         if a <= b:
             yield prefix, a, b
@@ -427,14 +436,8 @@ def object_level(o: FatObject) -> int:
     cap = min(_max_coord_level(a, b) for a, b in ranges)
     if isinstance(o, (Cube, Box)):
         return cap
-    if _is_rational_ball(o):
-        cnum, den, rnum = _ball_int_args(o)
-        rows = partial(_ball_rows, ranges, cnum=cnum, den=den,
-                       rem=rnum * rnum, prefix=())
-    else:
-        rows = partial(_rows, o, ranges)
     for level in range(cap, -1, -1):
-        if next(rows(stride=1 << level), None) is not None:
+        if next(_rows(o, ranges, 1 << level), None) is not None:
             return level
     raise EmptyObjectError("object contains no grid point")
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import log2
+from math import isqrt, log2
 from typing import Optional
 
 from gridhit import adversary, engine, formats, geometry, oracle
@@ -29,6 +29,7 @@ from gridhit.engine import Added, EngineState
 from gridhit.errors import GridHitError, InstanceFormatError
 from gridhit.exactnum import (
     Scalar,
+    SqrtExt,
     as_scalar,
     is_rational,
     scalar_floor,
@@ -358,6 +359,14 @@ def _naive_contains(o: FatObject, p) -> bool:
     raise TypeError("naive membership supports the three concrete shapes")
 
 
+def _naive_bracket(x: Scalar) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= x <= hi: isqrt(s) <= sqrt(s) <= isqrt(s) + 1."""
+    if not isinstance(x, SqrtExt):
+        return Fraction(x), Fraction(x)
+    r = isqrt(int(x.s))
+    return tuple(sorted((x.a + x.b * r, x.a + x.b * (r + 1))))
+
+
 def _naive_ranges(o: FatObject) -> list[range]:
     """Integer candidate ranges from the shape fields alone."""
     if isinstance(o, Cube):
@@ -370,7 +379,7 @@ def _naive_ranges(o: FatObject) -> list[range]:
         raise TypeError("naive oracle supports the three concrete shapes")
     out = []
     for lo, hi in ext:
-        lo, hi = Fraction(lo), Fraction(hi)
+        lo, hi = _naive_bracket(lo)[0], _naive_bracket(hi)[1]
         a = max(1, lo.numerator // lo.denominator + 1)
         b = -((-hi.numerator) // hi.denominator) - 1
         out.append(range(a, b + 1))

@@ -18,6 +18,8 @@ from gridhit.exactnum import (
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=64)
 radicands = st.sampled_from([2, 3, 5, 6, 7, 10])
+# Scales up to 2**1100 put values far beyond the range of a float.
+scales = st.one_of(st.just(1), st.integers(60, 1100).map(lambda k: 2 ** k))
 
 
 def value(a, b, s):
@@ -82,6 +84,16 @@ class TestFieldArithmetic:
         with pytest.raises(ValueError):
             sqrt_exact(2) + sqrt_exact(3)
 
+    @given(rationals, rationals, rationals, rationals, radicands)
+    def test_results_keep_the_radicand(self, a, b, c, d, s):
+        x, y = value(a, b, s), value(c, d, s)
+        results = [x + y, x - y, x * y] + ([x / y] if y != 0 else [])
+        for z in results:
+            if isinstance(z, SqrtExt):
+                assert z.s == s and z.b != 0
+            else:
+                assert isinstance(z, Fraction)
+
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             sqrt_exact(2) / 0
@@ -108,9 +120,9 @@ class TestFloors:
         assert rat_floor(q) == math.floor(q)
         assert rat_ceil(q) == math.ceil(q)
 
-    @given(rationals, rationals, radicands)
-    def test_scalar_floor_is_tight(self, a, b, s):
-        x = value(a, b, s)
+    @given(rationals, rationals, radicands, scales, scales)
+    def test_scalar_floor_is_tight(self, a, b, s, scale_a, scale_b):
+        x = value(a * scale_a, b * scale_b, s)
         n = scalar_floor(x)
         assert n <= x < n + 1
         m = scalar_ceil(x)
@@ -122,6 +134,13 @@ class TestFloors:
         assert scalar_floor(-sqrt_exact(2)) == -2
         assert scalar_ceil(-sqrt_exact(2)) == -1
         assert scalar_floor(Fraction(-7, 2)) == -4
+        big = 2 ** 1100
+        assert scalar_floor(big + sqrt_exact(2)) == big + 1
+        assert scalar_ceil(big + sqrt_exact(2)) == big + 2
+        assert scalar_floor(-big - sqrt_exact(2)) == -big - 2
+        assert scalar_floor(big * sqrt_exact(2)) == math.isqrt(2 * big * big)
+        assert scalar_floor(-big * sqrt_exact(2)) == -math.isqrt(2 * big * big) - 1
+        assert scalar_floor((big + sqrt_exact(3)) / 3) == (big + 1) // 3
 
     def test_cap_values_for_common_fatness(self):
         # floor((4*fatness+1)**d) for the shipped fatness values

@@ -144,7 +144,8 @@ class TestEnumeration:
         assert not G.has_grid_point(Cube((0, 0), 1))
 
     def test_irrational_ball_filter_path(self):
-        # An irrational center sends enumeration through the contains filter.
+        # An irrational center takes the same isqrt rows as a rational one,
+        # with each row end settled by an exact SqrtExt comparison.
         o = Ball((4 + sqrt_exact(2) / 4, 4), sqrt_exact(2))
         want = [(3, 4), (4, 3), (4, 4), (4, 5), (5, 3), (5, 4), (5, 5)]
         assert naive_interior(o, bound=16) == want

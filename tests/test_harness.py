@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -210,6 +211,16 @@ class TestRunAdversary:
         summary, report = harness.run_adversary(2, 256, "ball", "baseline")
         assert summary.forced_minimum_met
         assert report.opt_size == 1
+
+    def test_ball_games_at_scale(self):
+        # Balls for d >= 2 leave the rationals after one step, so these
+        # games run on SqrtExt floors of values up to 2**128.
+        t0 = time.perf_counter()
+        for d, n in ((2, 1 << 64), (3, 1 << 64), (2, 1 << 128), (5, 1 << 10)):
+            summary, report = harness.run_adversary(d, n, "ball")
+            assert summary.forced_minimum_met, (d, n)
+            assert report.opt_size == 1, (d, n)
+        assert time.perf_counter() - t0 < 5.0
 
     def test_box_game(self):
         summary, report = harness.run_adversary(2, 128, "box",

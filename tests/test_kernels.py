@@ -4,6 +4,7 @@ denominators and ``isqrt`` boundaries, stay lazy on huge objects, and
 leave no cyclic garbage."""
 
 import gc
+import math
 import time
 from fractions import Fraction
 from itertools import product
@@ -11,7 +12,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridhit import geometry as G
+from gridhit import geometry as G, harness
 from gridhit.errors import EmptyObjectError
 from gridhit.exactnum import sqrt_exact
 from gridhit.geometry import Ball, Box, Cube
@@ -40,14 +41,45 @@ def ball_of(cnum, den, rnum):
     return Ball(tuple(F(c, den) for c in cnum), F(rnum, den))
 
 
-_SPAN = {1: 256, 2: 48, 3: 14}
+def case_ball(case):
+    """The ball of a ``ball_cases`` draw: the rational ball, plus k*sqrt(s)/8
+    on each center coordinate and on the radius when it has offsets."""
+    d, cnum, den, rnum, offsets = case
+    if offsets is None:
+        return ball_of(cnum, den, rnum)
+    s, kc, kr = offsets
+    unit = sqrt_exact(s) / 8
+    return Ball(tuple(F(c, den) + k * unit for c, k in zip(cnum, kc)),
+                F(rnum, den) + kr * unit)
 
-ball_cases = st.integers(1, 3).flatmap(lambda d: st.tuples(
-    st.just(d),
-    st.lists(st.integers(1, 5 * _SPAN[d]), min_size=d, max_size=d),
-    st.integers(1, 5),                                          # denominator
-    st.integers(1, 4 * _SPAN[d]),                               # radius numerator
-))
+
+def case_points(case):
+    """The points of a ``ball_cases`` draw, from a filter-everything oracle."""
+    d, cnum, den, rnum, offsets = case
+    if offsets is None:
+        return naive_ball_points(cnum, den, rnum)
+    return list(harness._naive_interior(case_ball(case)))
+
+
+def _ball_cases(span, offsets):
+    return st.integers(1, 3).flatmap(lambda d: st.tuples(
+        st.just(d),
+        st.lists(st.integers(1, 5 * span[d]), min_size=d, max_size=d),
+        st.integers(1, 5),                                      # denominator
+        st.integers(1, 4 * span[d]),                            # radius numerator
+        offsets(d),
+    ))
+
+
+# Rational balls, and smaller balls with SqrtExt offsets (s in {2, 3, 5}),
+# which the Fraction-based oracle filters more slowly.
+ball_cases = st.one_of(
+    _ball_cases({1: 256, 2: 48, 3: 14}, lambda d: st.none()),
+    _ball_cases({1: 64, 2: 8, 3: 2}, lambda d: st.tuples(
+        st.sampled_from([2, 3, 5]),
+        st.lists(st.integers(-4, 4), min_size=d, max_size=d),
+        st.integers(0, 4))),
+)
 
 
 class TestPureKernels:
@@ -74,9 +106,8 @@ class TestPureKernels:
     @settings(max_examples=60, deadline=None)
     @given(ball_cases)
     def test_ball_points_match_naive_filter(self, case):
-        d, cnum, den, rnum = case
-        ball = ball_of(cnum, den, rnum)
-        want = naive_ball_points(cnum, den, rnum)
+        ball = case_ball(case)
+        want = case_points(case)
         assert G.grid_points_in(ball) == want
         assert G.count_grid_points(ball) == len(want)
         assert G.has_grid_point(ball) == bool(want)
@@ -84,17 +115,15 @@ class TestPureKernels:
     @settings(max_examples=60, deadline=None)
     @given(ball_cases, st.integers(0, 4))
     def test_ball_points_of_level_match_filter(self, case, level):
-        d, cnum, den, rnum = case
-        want = [p for p in naive_ball_points(cnum, den, rnum)
+        want = [p for p in case_points(case)
                 if min(naive_level(c) for c in p) == level]
-        assert G.points_of_level(ball_of(cnum, den, rnum), level) == want
+        assert G.points_of_level(case_ball(case), level) == want
 
     @settings(max_examples=60, deadline=None)
     @given(ball_cases)
     def test_ball_max_level_matches_filter(self, case):
-        d, cnum, den, rnum = case
-        pts = naive_ball_points(cnum, den, rnum)
-        ball = ball_of(cnum, den, rnum)
+        pts = case_points(case)
+        ball = case_ball(case)
         if not pts:
             with pytest.raises(EmptyObjectError):
                 G.object_level(ball)
@@ -162,6 +191,16 @@ class TestLaziness:
         assert G.has_grid_point(ball)
         assert G.find_grid_point(ball) == (1 << 23, 1 << 23)
         assert time.perf_counter() - t0 < 1.0
+
+    def test_irrational_ball_count_is_fast(self):
+        # About 204k points: one row per prefix, each settled by O(1)
+        # exact comparisons, not a membership test per point.
+        r = 255 + sqrt_exact(2) / 5
+        ball = Ball((256 + sqrt_exact(2) / 3, 256), r)
+        t0 = time.perf_counter()
+        n = G.count_grid_points(ball)
+        assert time.perf_counter() - t0 < 1.0
+        assert abs(n - math.pi * float(r) ** 2) < 4 * float(r)
 
     @pytest.mark.parametrize("o", [Cube((0, 0, 0), 1 << 512),
                                    Box((0, 0, 0), (1 << 512, 1 << 511, 1 << 510))])
