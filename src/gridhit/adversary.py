@@ -127,14 +127,14 @@ def next_object(state: GameState,
             raise ProtocolError(f"point {p} is outside the grid")
         if p not in state.point_set and p not in new_pts:
             new_pts.append(p)
-    if not any(geometry.contains(current, p) for p in new_pts):
+    if next(geometry.grid_points_among(current, new_pts), None) is None:
         raise ProtocolError("the current object was left unhit")
     state.responses.append(tuple(new_pts))
     state.all_points.extend(new_pts)
     state.point_set.update(new_pts)
 
     inner = geometry.inscribed_cube(current)
-    inside = [p for p in state.all_points if geometry.contains(inner, p)]
+    inside = list(geometry.grid_points_among(inner, state.all_points))
     if len(inside) > len(new_pts):
         # Points predating this step cannot be in the (unhit) object.
         raise InvariantViolation("stale points inside the inscribed cube")
@@ -150,10 +150,10 @@ def next_object(state: GameState,
         state.finished = True
         state.final_width = geometry.out_width(candidate)
         return None
-    for p in state.all_points:
-        if geometry.contains(candidate, p):
-            raise InvariantViolation(
-                f"candidate object contains existing point {p}")
+    hit = next(geometry.grid_points_among(candidate, state.all_points), None)
+    if hit is not None:
+        raise InvariantViolation(
+            f"candidate object contains existing point {hit}")
     state.objects.append(candidate)
     return candidate
 

@@ -129,6 +129,7 @@ _SUITE_PARAMS = {
     "stepcap": ("instances", False, True),
     "ratio": ("instances", False, True),
     "oracle": ("target", False, True),
+    "games": (None, False, False),
 }
 
 

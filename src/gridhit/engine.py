@@ -77,7 +77,7 @@ class EngineState:
     # -- hit detection -------------------------------------------------------
 
     def is_hit(self, o: FatObject) -> bool:
-        return any(geometry.contains(o, p) for p in self.chosen)
+        return next(geometry.grid_points_among(o, self.chosen), None) is not None
 
     # -- the online step -----------------------------------------------------
 

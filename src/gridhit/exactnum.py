@@ -26,6 +26,7 @@ Rational = Union[int, Fraction]
 Scalar = Union[int, Fraction, "SqrtExt"]
 
 _SQUAREFREE_LIMIT = 10**12
+_SMALL_PRIME_LIMIT = 10**4
 
 
 def _as_fraction(x) -> Fraction:
@@ -47,18 +48,23 @@ def rat_ceil(x: Rational) -> int:
 
 
 def _square_free(n: int) -> tuple[int, int]:
-    """Split n > 0 as root**2 * rest with rest square-free (best effort)."""
-    if n >= _SQUAREFREE_LIMIT:
-        # Too big to factor cheaply; only strip perfect squares.
-        r = isqrt(n)
-        return (r, 1) if r * r == n else (1, n)
+    """Split n > 0 as root**2 * rest with rest square-free (best effort).
+
+    Below 10**12 trial division is complete.  Above it only the squares
+    of divisors up to 10**4 are stripped, then a perfect-square cofactor,
+    so a small square factor never changes the radicand.
+    """
+    small = n < _SQUAREFREE_LIMIT
     root, rest, p = 1, n, 2
-    while p * p <= rest:
+    while p * p <= rest and (small or p <= _SMALL_PRIME_LIMIT):
         sq = p * p
         while rest % sq == 0:
             rest //= sq
             root *= p
         p += 1 if p == 2 else 2
+    r = isqrt(rest)
+    if r * r == rest:
+        return root * r, 1
     return root, rest
 
 

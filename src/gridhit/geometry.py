@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, repeat
 from math import ceil, floor, isqrt, lcm, prod
+from operator import le
 from typing import Iterator, Optional, Union
 
 from gridhit.errors import EmptyObjectError, FatnessViolation, GridBoundsError
@@ -252,27 +253,52 @@ def validate_in_grid(o: FatObject, grid: GridSpec) -> None:
 
 # -- lattice enumeration --------------------------------------------------------
 #
-# Every query below consumes one primitive, ``_rows``: the object's points
-# on a stride lattice, grouped into runs along the last axis; ``grid_rows``
-# is its public stride-1 form.  A box, being a product set, is counted,
-# tested for a point and levelled from its ranges alone.
+# Every enumeration below consumes one primitive, ``_rows``: the object's
+# points on a stride lattice, grouped into runs along the last axis;
+# ``grid_rows`` is its public stride-1 form.  A box, being a product set,
+# is counted, tested for a point and levelled from its ranges alone, and
+# ``grid_points_among`` tests given points against the ranges first.
 
-def int_ranges(o: FatObject) -> list[tuple[int, int]] | None:
+def int_ranges(o: FatObject) -> tuple[tuple[int, int], ...] | None:
     """Per-axis inclusive integer candidate bounds, clipped to coords >= 1.
 
     Returns None when some axis admits no integer, i.e. the object surely
     contains no grid point.  Every grid point of the object lies in the
     product of the ranges, so two objects whose ranges are disjoint on
-    some axis share no grid point.
+    some axis share no grid point.  For a cube or box the product is
+    exactly its grid points: an integer x >= 1 has c < x < c + w iff
+    floor(c) + 1 <= x <= ceil(c + w) - 1.  Computed on first use and
+    kept on the object, which is immutable.
     """
-    ranges = []
-    for lo, hi in _extent(o):
-        a = max(1, scalar_floor(lo) + 1)
-        b = scalar_ceil(hi) - 1
-        if a > b:
-            return None
-        ranges.append((a, b))
+    try:
+        return o._int_ranges
+    except AttributeError:
+        pass
+    ranges = tuple((max(1, scalar_floor(lo) + 1), scalar_ceil(hi) - 1)
+                   for lo, hi in _extent(o))
+    if any(a > b for a, b in ranges):
+        ranges = None
+    object.__setattr__(o, "_int_ranges", ranges)
     return ranges
+
+
+def grid_points_among(o: FatObject, points) -> Iterator[Point]:
+    """The given grid points (int coordinates >= 1) that lie inside the
+    object, lazily and in their given order.
+
+    Each point is compared with the corners of ``int_ranges(o)`` in plain
+    ints, which settles a cube or box exactly; a ball point inside the
+    ranges is settled by the exact ``contains``.
+    """
+    ranges = int_ranges(o)
+    if ranges is None:
+        return
+    lo, hi = zip(*ranges)
+    ball = isinstance(o, Ball)
+    for p in points:
+        if (all(map(le, lo, p)) and all(map(le, p, hi))
+                and (not ball or contains(o, p))):
+            yield p
 
 
 def _integral(x: Scalar):

@@ -182,11 +182,7 @@ def run_adversary(d: int, N: int, shape: str = "cube",
     else:
         raise ValueError(f"unknown opponent {opponent!r}")
 
-    state = adversary.play_game_traced(grid, base, opp)
-    summary = adversary.summarize(state)
-
-    reduced = oracle.reduce_instance(state.objects)
-    result = oracle.exact_min_hitting_set(reduced)
+    state, summary, result = _certified_game(grid, base, opp)
     rr = engine.check_ratio_bound(grid, fatness, summary.total_points,
                                   result.size)
     if trace_path is not None:
@@ -199,6 +195,14 @@ def run_adversary(d: int, N: int, shape: str = "cube",
         transcript=None if trace_path is None else str(trace_path),
     )
     return summary, report
+
+
+def _certified_game(grid: GridSpec, base: FatObject, opp):
+    """Play the game, then solve its objects exactly offline."""
+    state = adversary.play_game_traced(grid, base, opp)
+    summary = adversary.summarize(state)
+    result = oracle.exact_min_hitting_set(oracle.reduce_instance(state.objects))
+    return state, summary, result
 
 
 def _write_game_trace(path, state: GameState, summary: GameSummary,
@@ -638,12 +642,57 @@ def verify_oracle(target: int = 100, seed: int = 908) -> SuiteResult:
     return res
 
 
+# Forcing games as (shape, d, N): balls past float range and at d = 4, 5;
+# cubes and boxes at N far past float range, where each step scans every
+# earlier point.
+_GAMES = (
+    ("ball", 2, 2**64), ("ball", 3, 2**64), ("ball", 2, 2**128),
+    ("ball", 4, 2**10), ("ball", 5, 2**10),
+    ("cube", 2, 2**512), ("cube", 3, 2**384), ("box", 3, 2**512),
+)
+
+
+def _game_one(i: int, games) -> dict:
+    shape, d, N = games[i]
+    grid = GridSpec(d, N)
+    base = base_shape(d, shape)
+    eng = EngineState(grid, family_fatness(base))
+    state, summary, result = _certified_game(grid, base, engine_opponent(eng))
+    game = {"shape": shape, "d": d, "N": N}
+    violations = []
+    if not summary.forced_minimum_met:
+        violations.append({**game, "problem": "forced minimum not met"})
+    if not (result.exact and result.size == 1):
+        violations.append({**game, "problem": f"offline optimum {result.size} "
+                           f"(exact={result.exact}), not 1"})
+    earlier: list[Point] = []
+    for j, o in enumerate(state.objects):
+        if any(geometry.contains(o, p) for p in earlier):
+            violations.append({**game, "problem": f"object {j} was hit "
+                               "before it arrived"})
+        earlier.extend(state.responses[j])
+    return {"checked": len(state.objects), "violations": violations}
+
+
+def verify_games(games=_GAMES) -> SuiteResult:
+    """Forcing games against the engine at scale: each meets the forced
+    minimum, has offline optimum 1, and every object was unhit at arrival
+    by the exact ``contains`` over all earlier points."""
+    res = SuiteResult("games", True, 0)
+    for out in _map_indexed(partial(_game_one, games=games), len(games)):
+        res.checked += out["checked"]
+        for v in out["violations"]:
+            res.record(v)
+    return res
+
+
 SUITES = {
     "levelwidth": verify_level_width,
     "levelcount": verify_level_count,
     "stepcap": verify_step_caps,
     "ratio": verify_ratio,
     "oracle": verify_oracle,
+    "games": verify_games,
 }
 
 

@@ -188,6 +188,18 @@ class TestRunInvariants:
         assert time.perf_counter() - start < 1.0
         assert eng.steps == 30
 
+    def test_long_run_in_bounded_time(self):
+        """3000 objects: each hit test compares plain ints against the
+        chosen points, so the run takes well under a second, where exact
+        scalar membership tests took about 10 s."""
+        inst = gen_random(2, 256, SQRT2, count=3000, seed=1, max_width=64)
+        eng = EngineState(inst.grid, inst.fatness)
+        start = time.perf_counter()
+        for o in inst.objects:
+            eng.process(o)
+        assert time.perf_counter() - start < 3.0
+        assert eng.steps == 3000
+
 
 class TestRatioReport:
     def test_five_objects_two_hubs(self):

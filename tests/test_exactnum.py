@@ -52,6 +52,20 @@ class TestSqrtExact:
         assert sqrt_exact(2) != Fraction(141421356, 100000000)
         assert not (sqrt_exact(2) == 1)
 
+    def test_small_square_factor_of_a_large_radicand(self):
+        # Past 10**12 trial division stops at 10**4, yet 4*p must keep p's
+        # radicand, or sums of the two mix radicals.
+        p = 10**12 + 39
+        assert sqrt_exact(4 * p) == 2 * sqrt_exact(p)
+        assert sqrt_exact(4 * p) + sqrt_exact(p) == 3 * sqrt_exact(p)
+        assert sqrt_exact(Fraction(p, 9 * 10**12)) == sqrt_exact(p) / (3 * 10**6)
+
+    def test_large_perfect_square_cofactor(self):
+        q = 10**6 + 3
+        assert sqrt_exact(25 * q * q) == 5 * q
+        v = sqrt_exact(8 * 10**12)
+        assert isinstance(v, SqrtExt) and v.s == 2 and v.b == 2 * 10**6
+
 
 class TestFieldArithmetic:
     @given(rationals, rationals, rationals, rationals, radicands)

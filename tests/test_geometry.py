@@ -5,6 +5,7 @@ oracles defined at the top of this file (filter-everything enumeration,
 division-loop levels); the fast paths must reproduce them.
 """
 
+import dataclasses
 from fractions import Fraction
 from itertools import product
 
@@ -236,6 +237,65 @@ class TestPointsOfLevel:
         want = [p for p in naive_interior(b, 50)
                 if naive_point_level(p) == level]
         assert G.points_of_level(b, level) == want
+
+
+# -- hit tests on given points -------------------------------------------------------
+
+_coords = st.fractions(min_value=0, max_value=12, max_denominator=4)
+_widths = st.fractions(min_value=F(1, 4), max_value=8, max_denominator=4)
+
+
+@st.composite
+def shapes_with_points(draw):
+    """A cube, box, rational ball or ball with a sqrt(2) center in d = 1..3,
+    and grid points whose coordinates sit on the ends of its integer
+    ranges, just outside them, or anywhere up to 20."""
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["cube", "box", "ball", "sqrt_ball"]))
+    corner = [draw(_coords) for _ in range(d)]
+    w = draw(_widths)
+    if kind == "cube":
+        o = Cube(tuple(corner), w)
+    elif kind == "box":
+        o = Box(tuple(corner), tuple(draw(_widths) for _ in range(d)))
+    else:
+        shift = sqrt_exact(2) / draw(st.integers(2, 8)) if kind == "sqrt_ball" else 0
+        o = Ball(tuple(c + w + shift for c in corner), w)
+    # Ranges of a copy, so that o's own are first computed under test.
+    ranges = G.int_ranges(dataclasses.replace(o)) or ((1, 1),) * d
+    axes = [st.sampled_from(sorted({a, b, b + 1} | ({a - 1} - {0})))
+            | st.integers(1, 20) for a, b in ranges]
+    points = draw(st.lists(st.tuples(*axes), max_size=12))
+    return o, points
+
+
+class TestGridPointsAmong:
+    @settings(max_examples=300)
+    @given(shapes_with_points())
+    def test_matches_contains_filter(self, case):
+        o, points = case
+        got = list(G.grid_points_among(o, points))
+        assert got == [p for p in points if G.contains(o, p)]
+        stored = G.int_ranges(o)
+        assert isinstance(stored, (tuple, type(None)))
+        assert G.int_ranges(o) is stored
+        assert G.int_ranges(dataclasses.replace(o)) == stored
+
+    def test_no_ranges_and_no_points(self):
+        o = Cube((F(1, 4), F(1, 4)), F(1, 2))
+        assert G.int_ranges(o) is None
+        assert list(G.grid_points_among(o, [(1, 1), (2, 2)])) == []
+        assert list(G.grid_points_among(Cube((0, 0), 4), [])) == []
+
+    def test_ball_corner_needs_the_exact_test(self):
+        # (1, 1) lies within the ball's ranges but outside the ball.
+        o = Ball((2, 2), F(5, 4))
+        assert G.int_ranges(o) == ((1, 3), (1, 3))
+        assert list(G.grid_points_among(o, [(1, 1), (2, 1), (3, 3)])) == [(2, 1)]
+
+    def test_lazy(self):
+        points = iter([(2, 2), "never read"])
+        assert next(G.grid_points_among(Cube((0, 0), 4), points)) == (2, 2)
 
 
 # -- counting ---------------------------------------------------------------------

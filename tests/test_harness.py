@@ -346,6 +346,11 @@ class TestCli:
         assert code == 0
         assert "oracle: pass" in out
 
+    def test_verify_games_command(self):
+        code, out = self.run_cli("verify", "--suite", "games")
+        assert code == 0
+        assert "games: pass" in out
+
     def test_missing_file_exits_two(self):
         code, _ = self.run_cli("run", "/nonexistent/path.jsonl")
         assert code == 2
