@@ -129,7 +129,6 @@ _SUITE_PARAMS = {
     "stepcap": ("instances", False, True),
     "ratio": ("instances", False, True),
     "oracle": ("target", False, True),
-    "games": (None, False, False),
 }
 
 

@@ -56,8 +56,7 @@ class EngineState:
     independent and may run in parallel.
 
     ``unhit[l]`` lists, in arrival order, each object of level l that was
-    unhit at arrival, with the low and high corners of its
-    ``geometry.int_ranges``.
+    unhit at arrival.
     """
 
     def __init__(self, grid: GridSpec, fatness: Scalar):
@@ -70,7 +69,7 @@ class EngineState:
         self.step_cap = scalar_floor((4 * fatness + 1) ** grid.d)
         self.chosen: list[Point] = []
         self._chosen_set: set[Point] = set()
-        self.unhit: dict[int, list[tuple[FatObject, Point, Point]]] = {}
+        self.unhit: dict[int, list[FatObject]] = {}
         self.steps = 0
         self.already_hit_count = 0
 
@@ -104,15 +103,18 @@ class EngineState:
         self.chosen.extend(added)
         self._chosen_set.update(added)
 
-        # Only same-level objects whose ranges meet o's can share a point
-        # with it, so 1 + their number certifies the cap.  Past the cap,
-        # count exactly: dominance keeps the largest signature holding
-        # o's bit, and the full-cover exit returns the full mask.
-        lo, hi = zip(*geometry.int_ranges(o))
+        # Only same-level objects whose integer corners meet o's can share
+        # a point with it, so 1 + their number certifies the cap.  Past
+        # the cap, count exactly: dominance keeps the largest signature
+        # holding o's bit, and the full-cover exit returns the full mask.
+        lo, hi = geometry.int_corners(o)
         same = self.unhit.setdefault(level, [])
-        peers = [q for q, qlo, qhi in same
-                 if all(map(le, lo, qhi)) and all(map(le, qlo, hi))]
-        same.append((o, lo, hi))
+        peers = []
+        for q in same:
+            qlo, qhi = geometry.int_corners(q)
+            if all(map(le, lo, qhi)) and all(map(le, qlo, hi)):
+                peers.append(q)
+        same.append(o)
         if len(peers) >= self.step_cap:
             bit = 1 << len(peers)
             sigs = oracle.reduce_instance(peers + [o]).signatures

@@ -257,43 +257,49 @@ def validate_in_grid(o: FatObject, grid: GridSpec) -> None:
 # points on a stride lattice, grouped into runs along the last axis;
 # ``grid_rows`` is its public stride-1 form.  A box, being a product set,
 # is counted, tested for a point and levelled from its ranges alone, and
-# ``grid_points_among`` tests given points against the ranges first.
+# ``grid_points_among`` tests given points against the corners first.
 
-def int_ranges(o: FatObject) -> tuple[tuple[int, int], ...] | None:
-    """Per-axis inclusive integer candidate bounds, clipped to coords >= 1.
+def int_corners(o: FatObject) -> tuple[Point, Point] | None:
+    """Low and high corners of the object's integer candidate box: per
+    axis the inclusive integer bounds, clipped to coords >= 1.
 
     Returns None when some axis admits no integer, i.e. the object surely
     contains no grid point.  Every grid point of the object lies in the
-    product of the ranges, so two objects whose ranges are disjoint on
-    some axis share no grid point.  For a cube or box the product is
-    exactly its grid points: an integer x >= 1 has c < x < c + w iff
-    floor(c) + 1 <= x <= ceil(c + w) - 1.  Computed on first use and
-    kept on the object, which is immutable.
+    box, so two objects whose boxes are disjoint share no grid point.  For
+    a cube or box the box is exactly its grid points: an integer x >= 1
+    has c < x < c + w iff floor(c) + 1 <= x <= ceil(c + w) - 1.  Computed
+    on first use and kept on the object, which is immutable.
     """
     try:
-        return o._int_ranges
+        return o._int_corners
     except AttributeError:
         pass
-    ranges = tuple((max(1, scalar_floor(lo) + 1), scalar_ceil(hi) - 1)
-                   for lo, hi in _extent(o))
-    if any(a > b for a, b in ranges):
-        ranges = None
-    object.__setattr__(o, "_int_ranges", ranges)
-    return ranges
+    ranges = [(max(1, scalar_floor(lo) + 1), scalar_ceil(hi) - 1)
+              for lo, hi in _extent(o)]
+    corners = (None if any(a > b for a, b in ranges)
+               else tuple(zip(*ranges)))
+    object.__setattr__(o, "_int_corners", corners)
+    return corners
+
+
+def int_ranges(o: FatObject) -> tuple[tuple[int, int], ...] | None:
+    """``int_corners`` per axis, as inclusive ranges ``(a, b)``."""
+    corners = int_corners(o)
+    return None if corners is None else tuple(zip(*corners))
 
 
 def grid_points_among(o: FatObject, points) -> Iterator[Point]:
     """The given grid points (int coordinates >= 1) that lie inside the
     object, lazily and in their given order.
 
-    Each point is compared with the corners of ``int_ranges(o)`` in plain
-    ints, which settles a cube or box exactly; a ball point inside the
-    ranges is settled by the exact ``contains``.
+    Each point is compared with ``int_corners(o)`` in plain ints, which
+    settles a cube or box exactly; a ball point inside the corners is
+    settled by the exact ``contains``.
     """
-    ranges = int_ranges(o)
-    if ranges is None:
+    corners = int_corners(o)
+    if corners is None:
         return
-    lo, hi = zip(*ranges)
+    lo, hi = corners
     ball = isinstance(o, Ball)
     for p in points:
         if (all(map(le, lo, p)) and all(map(le, p, hi))
@@ -444,7 +450,7 @@ def find_grid_point(o: FatObject) -> Optional[Point]:
 def has_grid_point(o: FatObject) -> bool:
     if isinstance(o, (Cube, Box)):
         # A product set has a point iff every axis has an integer.
-        return int_ranges(o) is not None
+        return int_corners(o) is not None
     return find_grid_point(o) is not None
 
 

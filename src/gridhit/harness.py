@@ -563,7 +563,7 @@ def _stepcap_one(i: int, seed: int, d: int) -> dict:
                                "problem": f"step added {len(decision.points)}"})
     # Recount densely, independently of the engine's own check.
     counts = Counter((level, p) for level, same in eng.unhit.items()
-                     for o, _, _ in same for p in geometry.grid_points_in(o))
+                     for o in same for p in geometry.grid_points_in(o))
     worst = max(counts.values(), default=0)
     if worst > eng.step_cap:
         violations.append({"instance": i,
@@ -652,8 +652,8 @@ _GAMES = (
 )
 
 
-def _game_one(i: int, games) -> dict:
-    shape, d, N = games[i]
+def _game_one(i: int) -> dict:
+    shape, d, N = _GAMES[i]
     grid = GridSpec(d, N)
     base = base_shape(d, shape)
     eng = EngineState(grid, family_fatness(base))
@@ -674,12 +674,12 @@ def _game_one(i: int, games) -> dict:
     return {"checked": len(state.objects), "violations": violations}
 
 
-def verify_games(games=_GAMES) -> SuiteResult:
+def verify_games() -> SuiteResult:
     """Forcing games against the engine at scale: each meets the forced
     minimum, has offline optimum 1, and every object was unhit at arrival
     by the exact ``contains`` over all earlier points."""
     res = SuiteResult("games", True, 0)
-    for out in _map_indexed(partial(_game_one, games=games), len(games)):
+    for out in _map_indexed(_game_one, len(_GAMES)):
         res.checked += out["checked"]
         for v in out["violations"]:
             res.record(v)

@@ -31,19 +31,17 @@ def dense_counts(eng):
     point), the number of objects filed in ``eng.unhit`` that contain the
     point, counted point by point."""
     return Counter((level, p) for level, same in eng.unhit.items()
-                   for o, _, _ in same for p in G.grid_points_in(o))
+                   for o in same for p in G.grid_points_in(o))
 
 
 def process_all(eng, objects):
     """Process the objects in order and check that ``eng.unhit`` files
-    exactly those that were unhit at arrival, under their level, with
-    the corners of their integer ranges."""
+    exactly those that were unhit at arrival, under their level."""
     expected = {}
     for o in objects:
         decision = eng.process(o)
         if isinstance(decision, Added):
-            lo, hi = zip(*G.int_ranges(o))
-            expected.setdefault(decision.level, []).append((o, lo, hi))
+            expected.setdefault(decision.level, []).append(o)
     assert eng.unhit == expected
 
 

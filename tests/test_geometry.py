@@ -247,21 +247,28 @@ _widths = st.fractions(min_value=F(1, 4), max_value=8, max_denominator=4)
 
 @st.composite
 def shapes_with_points(draw):
-    """A cube, box, rational ball or ball with a sqrt(2) center in d = 1..3,
-    and grid points whose coordinates sit on the ends of its integer
-    ranges, just outside them, or anywhere up to 20."""
+    """A cube, box, rational ball, ball with a sqrt(2) center, or cube
+    with sqrt(2) in its corner and width (as ``inscribed_cube`` of a
+    ball makes) in d = 1..3, and grid points whose coordinates sit on the
+    ends of its integer ranges, just outside them, or anywhere up to 20."""
     d = draw(st.integers(1, 3))
-    kind = draw(st.sampled_from(["cube", "box", "ball", "sqrt_ball"]))
+    kind = draw(st.sampled_from(
+        ["cube", "box", "ball", "sqrt_ball", "sqrt_cube"]))
     corner = [draw(_coords) for _ in range(d)]
     w = draw(_widths)
+    shift = (sqrt_exact(2) / draw(st.integers(2, 8))
+             if kind.startswith("sqrt") else 0)
     if kind == "cube":
         o = Cube(tuple(corner), w)
     elif kind == "box":
         o = Box(tuple(corner), tuple(draw(_widths) for _ in range(d)))
+    elif kind == "sqrt_cube":
+        o = Cube(tuple(c + shift for c in corner),
+                 w + sqrt_exact(2) / draw(st.integers(2, 8)))
     else:
-        shift = sqrt_exact(2) / draw(st.integers(2, 8)) if kind == "sqrt_ball" else 0
         o = Ball(tuple(c + w + shift for c in corner), w)
-    # Ranges of a copy, so that o's own are first computed under test.
+    # Ranges of a copy, so that o's own corners are first computed under
+    # test.
     ranges = G.int_ranges(dataclasses.replace(o)) or ((1, 1),) * d
     axes = [st.sampled_from(sorted({a, b, b + 1} | ({a - 1} - {0})))
             | st.integers(1, 20) for a, b in ranges]
@@ -276,10 +283,10 @@ class TestGridPointsAmong:
         o, points = case
         got = list(G.grid_points_among(o, points))
         assert got == [p for p in points if G.contains(o, p)]
-        stored = G.int_ranges(o)
+        stored = G.int_corners(o)
         assert isinstance(stored, (tuple, type(None)))
-        assert G.int_ranges(o) is stored
-        assert G.int_ranges(dataclasses.replace(o)) == stored
+        assert G.int_corners(o) is stored
+        assert G.int_corners(dataclasses.replace(o)) == stored
 
     def test_no_ranges_and_no_points(self):
         o = Cube((F(1, 4), F(1, 4)), F(1, 2))
