@@ -9,6 +9,7 @@ sweeps).  Exit codes: 0 all good, 1 a checked property was violated,
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from gridhit import formats, harness
@@ -122,40 +123,18 @@ def _cmd_adversary(args) -> int:
     return 0
 
 
-_SUITE_PARAMS = {
-    # suite -> (name of the size parameter, takes N, takes seed)
-    "levelwidth": ("count", True, True),
-    "levelcount": (None, True, False),
-    "stepcap": ("instances", False, True),
-    "ratio": ("instances", False, True),
-    "oracle": ("target", False, True),
-}
-
-
 def _cmd_verify(args) -> int:
-    params = {}
-    size_key, takes_n, takes_seed = _SUITE_PARAMS.get(args.suite,
-                                                      (None, False, False))
-    ignored = []
-    if args.N is not None:
-        params["N"] = args.N
-        if not takes_n:
-            ignored.append("--N")
-            del params["N"]
-    if args.count is not None:
-        if size_key is None:
-            ignored.append("--count")
-        else:
-            params[size_key] = args.count
-    if args.seed is not None:
-        if takes_seed:
-            params["seed"] = args.seed
-        else:
-            ignored.append("--seed")
+    # A flag goes to a suite whose signature names it; ``all`` takes none.
+    takes = () if args.suite == "all" else \
+        inspect.signature(harness.SUITES[args.suite]).parameters
+    given = {k: getattr(args, k) for k in ("N", "count", "seed")
+             if getattr(args, k) is not None}
+    ignored = [f"--{k}" for k in given if k not in takes]
     if ignored:
         print(f"note: {', '.join(ignored)} ignored for --suite {args.suite}",
               file=sys.stderr)
-    results = harness.run_suite(args.suite, **params)
+    results = harness.run_suite(
+        args.suite, **{k: v for k, v in given.items() if k in takes})
     failed = False
     for res in results:
         status = "pass" if res.passed else "FAIL"

@@ -11,7 +11,7 @@ never enter a predicate.
 Values of SqrtExt are normalized so that a genuinely rational result is
 always returned as a plain Fraction: b is never 0, and s is an integer
 that is not a perfect square (``sqrt_exact`` strips its square factors,
-and arithmetic keeps the operands' s).  Consequently a SqrtExt is always
+and arithmetic keeps the left operand's s).  Consequently a SqrtExt is always
 irrational and never compares equal to a rational, and its floor is
 computed from ``isqrt`` on integers; no float enters a floor.
 """
@@ -107,12 +107,20 @@ class SqrtExt:
         self.s = s
 
     def _parts_with(self, other) -> tuple[Fraction, Fraction]:
-        """Coerce other to (a, b) coefficients over this value's radical."""
+        """Coerce other to (a, b) coefficients over this value's radical.
+
+        Past 10**12 ``sqrt_exact`` may keep a square factor in the radicand,
+        so equal radicals can carry different s; when s1*s2 = r**2,
+        sqrt(s2) = (r/s1)*sqrt(s1).  Other radicand pairs are unsupported.
+        """
         if isinstance(other, SqrtExt):
-            if other.s != self.s:
+            if other.s == self.s:
+                return other.a, other.b
+            r = isqrt(int(self.s * other.s))
+            if r * r != self.s * other.s:
                 raise ValueError(
                     f"mixed radicals sqrt({self.s}) and sqrt({other.s}) are unsupported")
-            return other.a, other.b
+            return other.a, other.b * r / self.s
         if isinstance(other, (int, Fraction)):
             return _as_fraction(other), Fraction(0)
         raise TypeError(f"unsupported operand type {type(other).__name__}")
@@ -208,14 +216,19 @@ class SqrtExt:
         return (diff > 0) - (diff < 0)
 
     def __eq__(self, other):
+        # b*sqrt(s) is fixed by its sign and b*b*s, whatever square factor
+        # s still carries.
         if isinstance(other, SqrtExt):
-            return self.s == other.s and self.a == other.a and self.b == other.b
+            if self.s == other.s:
+                return self.a == other.a and self.b == other.b
+            return (self.a == other.a and (self.b > 0) == (other.b > 0) and
+                    self.b * self.b * self.s == other.b * other.b * other.s)
         if isinstance(other, (int, Fraction)):
             return False  # a normalized SqrtExt is irrational
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b, self.s))
+        return hash((self.a, self.b * self.b * self.s, self.b > 0))
 
     def __lt__(self, other):
         return self._cmp(other) < 0

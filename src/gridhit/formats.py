@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from gridhit import geometry
+from gridhit.engine import Added
 from gridhit.errors import InstanceFormatError
 from gridhit.exactnum import Scalar, SqrtExt, sqrt_exact
 from gridhit.geometry import Ball, Box, Cube, FatObject, GridSpec
@@ -195,9 +196,6 @@ def read_instance(path) -> InstanceFile:
 
 
 def decision_to_json(decision) -> dict:
-    # Imported here to avoid a cycle: engine imports formats for exports.
-    from gridhit.engine import Added
-
     if isinstance(decision, Added):
         return {"type": "added", "level": decision.level,
                 "points": [point_to_json(p) for p in decision.points]}

@@ -12,13 +12,10 @@ membership) so that a bug in the fast paths cannot hide itself.
 
 from __future__ import annotations
 
-import os
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from itertools import product
 from math import isqrt, log2
 from typing import Optional
@@ -433,25 +430,8 @@ class SuiteResult:
             self.violations.append(detail)
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("GRIDHIT_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_indexed(fn, n: int) -> list:
-    """Deterministic map of fn over range(n), optionally in worker
-    processes (GRIDHIT_WORKERS); result order is always by index."""
-    workers = _workers()
-    if workers <= 1 or n <= 1:
-        return [fn(i) for i in range(n)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n), chunksize=max(1, n // (8 * workers))))
-
-
-def verify_level_width(N: int = 64, dims=(1, 2, 3), count: int = 10_000,
-                       seed: int = 1405, cross_check: int = 300) -> SuiteResult:
+def verify_level_width(N: int = 64, count: int = 10_000, seed: int = 1405,
+                       cross_check: int = 300) -> SuiteResult:
     """Fuzz objects against the width-vs-level bounds.
 
     For every object: inscribed width <= 2**(level+1), with equality only
@@ -463,9 +443,9 @@ def verify_level_width(N: int = 64, dims=(1, 2, 3), count: int = 10_000,
     the levels is re-derived with the naive enumeration oracle.
     """
     res = SuiteResult("levelwidth", True, 0)
-    for k, d in enumerate(dims):
+    for d in (1, 2, 3):
         # Spread the remainder so that exactly ``count`` objects are checked.
-        per_d = count // len(dims) + (k < count % len(dims))
+        per_d = count // 3 + (d - 1 < count % 3)
         fat = sqrt_exact(d) if d > 1 else Fraction(2)
         inst = gen_random(d, N, fat, ("ball", "cube", "box"), per_d, seed + d)
         crossed = 0
@@ -546,78 +526,62 @@ def _fatness_cycle(i: int):
     return Fraction(2), ("ball", "cube", "box")
 
 
-def _stepcap_one(i: int, seed: int, d: int) -> dict:
-    N = _STEPCAP_NS[i % len(_STEPCAP_NS)]
-    fat, shapes = _fatness_cycle(i)
-    inst = gen_random(d, N, fat, shapes, 6 + i % 7, seed + i)
-    eng = EngineState(inst.grid, inst.fatness)
-    violations = []
-    for o in inst.objects:
-        try:
-            decision = eng.process(o)
-        except GridHitError as exc:
-            violations.append({"instance": i, "problem": str(exc)})
-            break
-        if isinstance(decision, Added) and len(decision.points) > eng.step_cap:
-            violations.append({"instance": i,
-                               "problem": f"step added {len(decision.points)}"})
-    # Recount densely, independently of the engine's own check.
-    counts = Counter((level, p) for level, same in eng.unhit.items()
-                     for o in same for p in geometry.grid_points_in(o))
-    worst = max(counts.values(), default=0)
-    if worst > eng.step_cap:
-        violations.append({"instance": i,
-                           "problem": f"shared-object counter reached {worst}"})
-    if not oracle.verify_hitting_set(inst.objects, eng.chosen):
-        violations.append({"instance": i, "problem": "hitting set incomplete"})
-    return {"checked": len(inst.objects), "violations": violations}
-
-
-def verify_step_caps(instances: int = 1000, seed: int = 2203,
-                     d: int = 2) -> SuiteResult:
+def verify_step_caps(count: int = 1000, seed: int = 2203) -> SuiteResult:
     """Random online runs: per-step additions and, recounted densely, the
     number of same-level objects unhit at arrival that contain any one
-    point stay within floor((4*fatness+1)**d)."""
+    point stay within floor((4*fatness+1)**2)."""
     res = SuiteResult("stepcap", True, 0)
-    for out in _map_indexed(partial(_stepcap_one, seed=seed, d=d), instances):
-        res.checked += out["checked"]
-        for v in out["violations"]:
-            res.record(v)
+    for i in range(count):
+        N = _STEPCAP_NS[i % len(_STEPCAP_NS)]
+        fat, shapes = _fatness_cycle(i)
+        inst = gen_random(2, N, fat, shapes, 6 + i % 7, seed + i)
+        eng = EngineState(inst.grid, inst.fatness)
+        for o in inst.objects:
+            try:
+                decision = eng.process(o)
+            except GridHitError as exc:
+                res.record({"instance": i, "problem": str(exc)})
+                break
+            added = len(decision.points) if isinstance(decision, Added) else 0
+            if added > eng.step_cap:
+                res.record({"instance": i, "problem": f"step added {added}"})
+        # Recount densely, independently of the engine's own check.
+        counts = Counter((level, p) for level, same in eng.unhit.items()
+                         for o in same for p in geometry.grid_points_in(o))
+        worst = max(counts.values(), default=0)
+        if worst > eng.step_cap:
+            res.record({"instance": i,
+                        "problem": f"shared-object counter reached {worst}"})
+        if not oracle.verify_hitting_set(inst.objects, eng.chosen):
+            res.record({"instance": i, "problem": "hitting set incomplete"})
+        res.checked += len(inst.objects)
     return res
 
 
-def _ratio_one(i: int, seed: int, Ns) -> dict:
-    N = Ns[i % len(Ns)]
-    fat, shapes = _fatness_cycle(i)
-    inst = gen_random(2, N, fat, shapes, 4 + i % 27, seed + i)
-    report = run_online(inst, oracle_budget=5_000_000)
-    violations = []
-    if not report.opt_exact:
-        violations.append({"instance": i, "problem": "oracle budget exceeded"})
-    elif report.within_bound is not True:
-        violations.append({"instance": i,
-                           "problem": f"ratio {report.ratio} above bound"})
-    return {"violations": violations}
-
-
-def verify_ratio(instances: int = 200, seed: int = 715,
+def verify_ratio(count: int = 200, seed: int = 715,
                  Ns=(64, 256)) -> SuiteResult:
     """Random online runs with certified optima: the measured ratio never
     exceeds (4*fatness+1)**(2d) * log2(N)."""
     res = SuiteResult("ratio", True, 0)
-    for out in _map_indexed(partial(_ratio_one, seed=seed, Ns=Ns), instances):
+    for i in range(count):
+        fat, shapes = _fatness_cycle(i)
+        inst = gen_random(2, Ns[i % len(Ns)], fat, shapes, 4 + i % 27, seed + i)
+        report = run_online(inst, oracle_budget=5_000_000)
         res.checked += 1
-        for v in out["violations"]:
-            res.record(v)
+        if not report.opt_exact:
+            res.record({"instance": i, "problem": "oracle budget exceeded"})
+        elif report.within_bound is not True:
+            res.record({"instance": i,
+                        "problem": f"ratio {report.ratio} above bound"})
     return res
 
 
-def verify_oracle(target: int = 100, seed: int = 908) -> SuiteResult:
+def verify_oracle(count: int = 100, seed: int = 908) -> SuiteResult:
     """Branch and bound vs. exhaustive subset enumeration on instances
     whose reduced candidate count is at most 12, plus sandwich checks."""
     res = SuiteResult("oracle", True, 0)
     attempts = 0
-    while res.checked < target and attempts < 40 * target:
+    while res.checked < count and attempts < 40 * count:
         attempts += 1
         inst = gen_random(2, 24, SQRT2, ("ball", "cube", "box"),
                           3 + attempts % 5, seed + attempts, max_width=8)
@@ -637,7 +601,7 @@ def verify_oracle(target: int = 100, seed: int = 908) -> SuiteResult:
             res.record({"attempt": attempts, "problem": "b&b set does not hit"})
         if not bb.exact:
             res.record({"attempt": attempts, "problem": "b&b gave up"})
-    if res.checked < target:
+    if res.checked < count:
         res.record({"problem": f"only {res.checked} qualifying instances"})
     return res
 
@@ -652,37 +616,30 @@ _GAMES = (
 )
 
 
-def _game_one(i: int) -> dict:
-    shape, d, N = _GAMES[i]
-    grid = GridSpec(d, N)
-    base = base_shape(d, shape)
-    eng = EngineState(grid, family_fatness(base))
-    state, summary, result = _certified_game(grid, base, engine_opponent(eng))
-    game = {"shape": shape, "d": d, "N": N}
-    violations = []
-    if not summary.forced_minimum_met:
-        violations.append({**game, "problem": "forced minimum not met"})
-    if not (result.exact and result.size == 1):
-        violations.append({**game, "problem": f"offline optimum {result.size} "
-                           f"(exact={result.exact}), not 1"})
-    earlier: list[Point] = []
-    for j, o in enumerate(state.objects):
-        if any(geometry.contains(o, p) for p in earlier):
-            violations.append({**game, "problem": f"object {j} was hit "
-                               "before it arrived"})
-        earlier.extend(state.responses[j])
-    return {"checked": len(state.objects), "violations": violations}
-
-
 def verify_games() -> SuiteResult:
     """Forcing games against the engine at scale: each meets the forced
     minimum, has offline optimum 1, and every object was unhit at arrival
     by the exact ``contains`` over all earlier points."""
     res = SuiteResult("games", True, 0)
-    for out in _map_indexed(_game_one, len(_GAMES)):
-        res.checked += out["checked"]
-        for v in out["violations"]:
-            res.record(v)
+    for shape, d, N in _GAMES:
+        grid = GridSpec(d, N)
+        base = base_shape(d, shape)
+        eng = EngineState(grid, family_fatness(base))
+        state, summary, result = _certified_game(grid, base,
+                                                 engine_opponent(eng))
+        game = {"shape": shape, "d": d, "N": N}
+        if not summary.forced_minimum_met:
+            res.record({**game, "problem": "forced minimum not met"})
+        if not (result.exact and result.size == 1):
+            res.record({**game, "problem": f"offline optimum {result.size} "
+                        f"(exact={result.exact}), not 1"})
+        earlier: list[Point] = []
+        for j, o in enumerate(state.objects):
+            if any(geometry.contains(o, p) for p in earlier):
+                res.record({**game, "problem": f"object {j} was hit "
+                            "before it arrived"})
+            earlier.extend(state.responses[j])
+        res.checked += len(state.objects)
     return res
 
 

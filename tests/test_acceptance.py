@@ -155,7 +155,7 @@ def test_criterion_4_step_and_counter_caps():
     many same-level objects that were unhit at arrival (the engine's own
     check, and a dense recount after each run)."""
     start = time.perf_counter()
-    res = harness.verify_step_caps(instances=1000, seed=2203)
+    res = harness.verify_step_caps(count=1000, seed=2203)
     elapsed = time.perf_counter() - start
     ok = res.passed
     assert report("step-and-counter-caps", ok,
@@ -185,7 +185,7 @@ def test_criterion_6_ratio_bound():
     optimum certified exact: the measured ratio never exceeds
     (4*fatness+1)**4 * log2(N)."""
     start = time.perf_counter()
-    res = harness.verify_ratio(instances=200, seed=715, Ns=(64, 256))
+    res = harness.verify_ratio(count=200, seed=715, Ns=(64, 256))
     elapsed = time.perf_counter() - start
     ok = res.passed and res.checked == 200 and elapsed < 120.0
     assert report("ratio-bound", ok,
@@ -196,7 +196,7 @@ def test_criterion_7_oracle_exactness():
     """100 instances with at most 12 surviving candidates: branch and
     bound equals exhaustive subset enumeration, with sane bounds."""
     start = time.perf_counter()
-    res = harness.verify_oracle(target=100, seed=908)
+    res = harness.verify_oracle(count=100, seed=908)
     elapsed = time.perf_counter() - start
     ok = res.passed and res.checked == 100
     assert report("oracle-exactness", ok,

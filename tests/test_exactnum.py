@@ -98,6 +98,22 @@ class TestFieldArithmetic:
         with pytest.raises(ValueError):
             sqrt_exact(2) + sqrt_exact(3)
 
+    def test_large_square_factor_left_in_the_radicand(self):
+        # Past 10**12 the square of q stays in the radicand 2*q*q; the
+        # value is still 5*q*sqrt(2), and mixes with sqrt(2).
+        q = 10**6 + 3
+        x = sqrt_exact(50 * q * q)
+        assert x.s == 2 * q * q
+        assert x == 5 * q * sqrt_exact(2)
+        assert hash(x) == hash(5 * q * sqrt_exact(2))
+        total = x + sqrt_exact(2)
+        assert total == (5 * q + 1) * sqrt_exact(2)
+        assert hash(total) == hash((5 * q + 1) * sqrt_exact(2))
+        assert sqrt_exact(2) + x == total
+        assert x - 5 * q * sqrt_exact(2) == 0
+        assert x * sqrt_exact(2) == 10 * q
+        assert x != -5 * q * sqrt_exact(2)
+
     @given(rationals, rationals, rationals, rationals, radicands)
     def test_results_keep_the_radicand(self, a, b, c, d, s):
         x, y = value(a, b, s), value(c, d, s)

@@ -8,6 +8,7 @@ division-loop levels); the fast paths must reproduce them.
 import dataclasses
 from fractions import Fraction
 from itertools import product
+from math import ceil, floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,7 +189,9 @@ class TestObjectLevel:
            st.fractions(min_value=F(3, 4), max_value=15, max_denominator=4))
     def test_ball_level_matches_naive(self, cx, cy, r):
         b = Ball((cx + r, cy + r), r)
-        pts = naive_interior(b, bound=70)
+        # Only the ball's own integer box, not the whole grid, is filtered.
+        box = [range(max(1, floor(c - r)), ceil(c + r) + 1) for c in b.center]
+        pts = [p for p in product(*box) if naive_contains(b, p)]
         if not pts:
             with pytest.raises(EmptyObjectError):
                 G.object_level(b)

@@ -246,15 +246,15 @@ class TestVerifySuites:
         assert res.passed, res.violations
 
     def test_stepcap_passes(self):
-        res = harness.verify_step_caps(instances=40)
+        res = harness.verify_step_caps(count=40)
         assert res.passed, res.violations
 
     def test_ratio_passes(self):
-        res = harness.verify_ratio(instances=12)
+        res = harness.verify_ratio(count=12)
         assert res.passed, res.violations
 
     def test_oracle_passes(self):
-        res = harness.verify_oracle(target=25)
+        res = harness.verify_oracle(count=25)
         assert res.passed, res.violations
 
     def test_unknown_suite(self):
@@ -288,13 +288,6 @@ class TestVerifySuites:
                             lambda c, l: real(c, l) + (1 if l == 0 else 0))
         res = harness.verify_level_count(N=16)
         assert not res.passed
-
-    def test_worker_pool_matches_serial(self, monkeypatch):
-        serial = harness.verify_step_caps(instances=10)
-        monkeypatch.setenv("GRIDHIT_WORKERS", "2")
-        parallel = harness.verify_step_caps(instances=10)
-        assert (serial.passed, serial.checked) == (parallel.passed,
-                                                   parallel.checked)
 
 
 class TestCli:
@@ -345,6 +338,47 @@ class TestCli:
                                  "--count", "10")
         assert code == 0
         assert "oracle: pass" in out
+
+    def test_verify_flags_reach_the_suite(self, capsys):
+        code, out = self.run_cli("verify", "--suite", "stepcap",
+                                 "--count", "5", "--seed", "3")
+        assert code == 0
+        res = harness.verify_step_caps(count=5, seed=3)
+        assert out == f"stepcap: pass ({res.checked} checks)\n"
+        assert capsys.readouterr().err == ""
+
+    def test_verify_ignored_flag_is_noted(self, capsys):
+        code, out = self.run_cli("verify", "--suite", "levelcount",
+                                 "--N", "16", "--seed", "3")
+        assert code == 0
+        res = harness.verify_level_count(N=16)
+        assert out == f"levelcount: pass ({res.checked} checks)\n"
+        assert capsys.readouterr().err == \
+            "note: --seed ignored for --suite levelcount\n"
+
+    def test_verify_all_ignores_flags(self, capsys, monkeypatch):
+        # ``all`` runs every suite at its defaults; stub the sweeps out.
+        seen = []
+
+        def run_suite(name, **params):
+            seen.append((name, params))
+            return [harness.SuiteResult(name, True, 0)]
+
+        monkeypatch.setattr(harness, "run_suite", run_suite)
+        code, out = self.run_cli("verify", "--suite", "all", "--count", "3")
+        assert code == 0
+        assert seen == [("all", {})]
+        assert capsys.readouterr().err == \
+            "note: --count ignored for --suite all\n"
+
+    def test_cli_import_loads_no_process_pool(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, gridhit.cli; print(sorted("
+             "m for m in ('multiprocessing', 'concurrent.futures') "
+             "if m in sys.modules))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_verify_games_command(self):
         code, out = self.run_cli("verify", "--suite", "games")
