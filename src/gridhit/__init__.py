@@ -40,7 +40,6 @@ from gridhit.geometry import (
     GridSpec,
     contains,
     count_grid_points,
-    count_level_at_least,
     dilate,
     grid_points_in,
     in_width,

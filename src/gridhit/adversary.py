@@ -16,11 +16,12 @@ exact scalars keep the recurrence an identity rather than an estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import floor
 from typing import Callable, Optional
 
 from gridhit import geometry
 from gridhit.errors import EmptyObjectError, InvariantViolation, ProtocolError
-from gridhit.exactnum import Scalar, scalar_floor
+from gridhit.exactnum import Scalar
 from gridhit.geometry import Cube, FatObject, GridSpec, Point
 
 Opponent = Callable[[FatObject], list[Point]]
@@ -87,7 +88,7 @@ def find_empty_subcube(c: Cube, points: list[Point]) -> Cube:
         blocked = set()
         for p in points:
             t = (p[axis] - base) / cell
-            h = scalar_floor(t)
+            h = floor(t)
             if t == h:
                 continue  # exactly on a boundary
             if 0 <= h <= k:
@@ -192,7 +193,9 @@ def summarize(state: GameState) -> GameSummary:
         raise ProtocolError("game still in progress")
     ks = state.points_per_step
     total = sum(ks)
-    certificate = min(geometry.grid_points_in(state.objects[-1]))
+    # Rows come in lexicographic order, so this is the smallest point.
+    prefix, a, _ = next(geometry.grid_rows(state.objects[-1]))
+    certificate = prefix + (a,)
     for o in state.objects:
         if not geometry.contains(o, certificate):
             raise InvariantViolation(

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log2
+from math import floor, log2
 from operator import le
 from typing import Union
 
 from gridhit import geometry, oracle
 from gridhit.errors import EmptyObjectError, InvariantViolation
-from gridhit.exactnum import Scalar, as_scalar, scalar_floor
+from gridhit.exactnum import Scalar, as_scalar
 from gridhit.geometry import FatObject, GridSpec, Point
 
 
@@ -66,7 +66,7 @@ class EngineState:
         self.grid = grid
         self.fatness = fatness
         self.fatness_sq = fatness * fatness
-        self.step_cap = scalar_floor((4 * fatness + 1) ** grid.d)
+        self.step_cap = floor((4 * fatness + 1) ** grid.d)
         self.chosen: list[Point] = []
         self._chosen_set: set[Point] = set()
         self.unhit: dict[int, list[FatObject]] = {}

@@ -13,7 +13,10 @@ always returned as a plain Fraction: b is never 0, and s is an integer
 that is not a perfect square (``sqrt_exact`` strips its square factors,
 and arithmetic keeps the left operand's s).  Consequently a SqrtExt is always
 irrational and never compares equal to a rational, and its floor is
-computed from ``isqrt`` on integers; no float enters a floor.
+computed from ``isqrt`` on integers.  Every scalar is rounded with
+``math.floor``/``math.ceil``, which dispatch to these exact methods; as
+those also accept a float, floats are rejected where values enter
+(``as_scalar``), not where they are rounded.
 """
 
 from __future__ import annotations
@@ -35,16 +38,6 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
-
-
-def rat_floor(x: Rational) -> int:
-    x = _as_fraction(x)
-    return x.numerator // x.denominator
-
-
-def rat_ceil(x: Rational) -> int:
-    x = _as_fraction(x)
-    return -((-x.numerator) // x.denominator)
 
 
 def _square_free(n: int) -> tuple[int, int]:
@@ -264,18 +257,6 @@ class SqrtExt:
 
     def __str__(self):
         return f"{self.a}{'+' if self.b >= 0 else ''}{self.b}*sqrt({self.s})"
-
-
-def scalar_floor(x: Scalar) -> int:
-    if isinstance(x, SqrtExt):
-        return x.__floor__()
-    return rat_floor(x)
-
-
-def scalar_ceil(x: Scalar) -> int:
-    if isinstance(x, SqrtExt):
-        return x.__ceil__()
-    return rat_ceil(x)
 
 
 def is_rational(x: Scalar) -> bool:

@@ -161,6 +161,10 @@ def parse_instance(text: str) -> InstanceFile:
         if key not in header:
             raise InstanceFormatError(f"line 1: header missing {key!r}")
     grid = GridSpec(header["d"], header["N"])
+    for key in ("count", "seed"):
+        if key in header and type(header[key]) is not int:
+            raise InstanceFormatError(
+                f"line 1: {key} must be an integer, got {header[key]!r}")
     fatness = scalar_from_json(header["alpha"])
     if not fatness >= 1:
         raise InstanceFormatError(f"line 1: alpha must be >= 1, got {fatness}")

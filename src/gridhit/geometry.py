@@ -22,14 +22,7 @@ from operator import le
 from typing import Iterator, Optional, Union
 
 from gridhit.errors import EmptyObjectError, FatnessViolation, GridBoundsError
-from gridhit.exactnum import (
-    Scalar,
-    SqrtExt,
-    as_scalar,
-    scalar_ceil,
-    scalar_floor,
-    sqrt_exact,
-)
+from gridhit.exactnum import Scalar, SqrtExt, as_scalar, sqrt_exact
 
 Point = tuple[int, ...]
 
@@ -42,9 +35,9 @@ class GridSpec:
     N: int
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 1:
+        if type(self.d) is not int or self.d < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.d}")
-        if not isinstance(self.N, int) or self.N < 2:
+        if type(self.N) is not int or self.N < 2:
             raise ValueError(f"grid bound must be an integer >= 2, got {self.N}")
 
     @property
@@ -132,11 +125,10 @@ def point_level(p) -> int:
 
 
 def _max_coord_level(a: int, b: int) -> int:
-    """Largest level of any integer in [a, b], for 1 <= a <= b."""
-    for level in range(b.bit_length() - 1, -1, -1):
-        if (b >> level) << level >= a:
-            return level
-    return 0
+    """Largest level of any integer in [a, b], for 1 <= a <= b: the
+    highest bit where a - 1 and b differ, since a multiple of 2**l lies in
+    (a - 1, b] iff (a - 1) >> l != b >> l."""
+    return ((a - 1) ^ b).bit_length() - 1
 
 
 # -- basic shape queries --------------------------------------------------------
@@ -256,7 +248,7 @@ def validate_in_grid(o: FatObject, grid: GridSpec) -> None:
 # Every enumeration below consumes one primitive, ``_rows``: the object's
 # points on a stride lattice, grouped into runs along the last axis;
 # ``grid_rows`` is its public stride-1 form.  A box, being a product set,
-# is counted, tested for a point and levelled from its ranges alone, and
+# is counted, tested for a point and levelled from its corners alone, and
 # ``grid_points_among`` tests given points against the corners first.
 
 def int_corners(o: FatObject) -> tuple[Point, Point] | None:
@@ -274,18 +266,12 @@ def int_corners(o: FatObject) -> tuple[Point, Point] | None:
         return o._int_corners
     except AttributeError:
         pass
-    ranges = [(max(1, scalar_floor(lo) + 1), scalar_ceil(hi) - 1)
+    ranges = [(max(1, floor(lo) + 1), ceil(hi) - 1)
               for lo, hi in _extent(o)]
     corners = (None if any(a > b for a, b in ranges)
                else tuple(zip(*ranges)))
     object.__setattr__(o, "_int_corners", corners)
     return corners
-
-
-def int_ranges(o: FatObject) -> tuple[tuple[int, int], ...] | None:
-    """``int_corners`` per axis, as inclusive ranges ``(a, b)``."""
-    corners = int_corners(o)
-    return None if corners is None else tuple(zip(*corners))
 
 
 def grid_points_among(o: FatObject, points) -> Iterator[Point]:
@@ -342,22 +328,27 @@ def _lattice(axes) -> Iterator[Point]:
             yield prefix + (x,)
 
 
-def _rows(o: FatObject, ranges, stride: int) -> Iterator[Row]:
+def _rows(o: FatObject, stride: int) -> Iterator[Row]:
     """The object's integer points whose coordinates are all multiples of
     ``stride``, as rows ``(prefix, a, b)`` in lexicographic order: the
     points with first d-1 coordinates ``prefix`` are exactly
     ``prefix + (x,)`` for the multiples x of stride in [a, b], and a is
-    one of them.  ``ranges`` is ``int_ranges(o)``.
+    one of them.  The rows lie within ``int_corners(o)``; there are none
+    when it is None.
 
     A box row is its last-axis range.  A ball row comes from an ``isqrt``
     of the squared radius left over by the prefix, for rational and
     irrational balls alike.  Rows are generated lazily, so the first row
     of a box costs O(d) whatever its size.
     """
+    corners = int_corners(o)
+    if corners is None:
+        return iter(())
+    lo, hi = corners
     if isinstance(o, Ball):
         cnum, den, rr = _ball_int_args(o)
-        return _ball_rows(ranges, stride, cnum, den, rr, ())
-    axes = [range(_align(a, stride), b + 1, stride) for a, b in ranges]
+        return _ball_rows(lo, hi, stride, cnum, den, rr, ())
+    axes = [range(_align(a, stride), b + 1, stride) for a, b in zip(lo, hi)]
     if not all(axes):
         # Checked up front: the lattice would otherwise walk every prefix
         # of the other axes before it found no row.
@@ -366,9 +357,10 @@ def _rows(o: FatObject, ranges, stride: int) -> Iterator[Row]:
     return ((prefix, a, b) for prefix in _lattice(axes[:-1]))
 
 
-def _ball_rows(ranges, stride, cnum, den, rem, prefix) -> Iterator[Row]:
-    """Rows of the scaled ball sum((x_i*den - cnum_i)**2) < rr, where
-    ``rem`` is rr minus the prefix's share of the sum.
+def _ball_rows(lo, hi, stride, cnum, den, rem, prefix) -> Iterator[Row]:
+    """Rows of the scaled ball sum((x_i*den - cnum_i)**2) < rr within the
+    corners ``lo`` and ``hi``, where ``rem`` is rr minus the prefix's
+    share of the sum.
 
     The row is |x*den - c| < sqrt(rem), with u < sqrt(rem) <= u + 1 for
     the u below.  For an integer c that is |x*den - c| <= u.  For an
@@ -378,23 +370,22 @@ def _ball_rows(ranges, stride, cnum, den, rem, prefix) -> Iterator[Row]:
     if rem <= 0:
         return
     ax = len(prefix)
-    lo, hi = ranges[ax]
     c = cnum[ax]
     u = isqrt(ceil(rem) - 1)
-    a = _align(max(lo, -((u - floor(c)) // den)), stride)
-    b = min(hi, (ceil(c) + u) // den)
+    a = _align(max(lo[ax], -((u - floor(c)) // den)), stride)
+    b = min(hi[ax], (ceil(c) + u) // den)
     if isinstance(c, SqrtExt):
         if a <= b and not (a * den - c) ** 2 < rem:
             a += stride
         if a <= b and not (b * den - c) ** 2 < rem:
             b -= 1
-    if ax == len(ranges) - 1:
+    if ax == len(lo) - 1:
         if a <= b:
             yield prefix, a, b
         return
     for x in range(a, b + 1, stride):
         t = x * den - c
-        yield from _ball_rows(ranges, stride, cnum, den, rem - t * t,
+        yield from _ball_rows(lo, hi, stride, cnum, den, rem - t * t,
                               prefix + (x,))
 
 
@@ -405,10 +396,7 @@ def grid_rows(o: FatObject) -> Iterator[Row]:
     as in ``grid_points_in``.  Lazy, so a caller that stops early pays
     only for the rows it read.
     """
-    ranges = int_ranges(o)
-    if ranges is None:
-        return iter(())
-    return _rows(o, ranges, 1)
+    return _rows(o, 1)
 
 
 def grid_points_in(o: FatObject) -> list[Point]:
@@ -425,8 +413,10 @@ def grid_points_in(o: FatObject) -> list[Point]:
 
 def count_grid_points(o: FatObject) -> int:
     if isinstance(o, (Cube, Box)):
-        ranges = int_ranges(o)
-        return 0 if ranges is None else prod(b - a + 1 for a, b in ranges)
+        corners = int_corners(o)
+        if corners is None:
+            return 0
+        return prod(b - a + 1 for a, b in zip(*corners))
     return sum(b - a + 1 for _, a, b in grid_rows(o))
 
 
@@ -438,7 +428,7 @@ def find_grid_point(o: FatObject) -> Optional[Point]:
     otherwise the lexicographically first point inside.
     """
     ec = enclosing_cube(o)
-    mids = [scalar_floor(c + ec.width / 2) for c in ec.corner]
+    mids = [floor(c + ec.width / 2) for c in ec.corner]
     for p in product(*((m, m + 1) for m in mids)):
         if min(p) >= 1 and contains(o, p):
             return p
@@ -462,14 +452,14 @@ def object_level(o: FatObject) -> int:
     A box meets it iff every axis has a multiple of 2**l (a product set),
     so its answer is the cap over its axes.
     """
-    ranges = int_ranges(o)
-    if ranges is None:
+    corners = int_corners(o)
+    if corners is None:
         raise EmptyObjectError("object contains no grid point")
-    cap = min(_max_coord_level(a, b) for a, b in ranges)
+    cap = min(map(_max_coord_level, *corners))
     if isinstance(o, (Cube, Box)):
         return cap
     for level in range(cap, -1, -1):
-        if next(_rows(o, ranges, 1 << level), None) is not None:
+        if next(_rows(o, 1 << level), None) is not None:
             return level
     raise EmptyObjectError("object contains no grid point")
 
@@ -479,12 +469,9 @@ def points_of_level(o: FatObject, level: int) -> list[Point]:
     ``level``, lexicographically."""
     if level < 0:
         raise ValueError(f"level must be non-negative, got {level}")
-    ranges = int_ranges(o)
-    if ranges is None:
-        return []
     stride = 1 << level
     out: list[Point] = []
-    for prefix, a, b in _rows(o, ranges, stride):
+    for prefix, a, b in _rows(o, stride):
         step = stride
         if not any((v >> level) & 1 for v in prefix):
             # Level exactly ``level`` needs a coordinate that is an odd
@@ -494,22 +481,3 @@ def points_of_level(o: FatObject, level: int) -> list[Point]:
                 a += stride
         out.extend(zip(*map(repeat, prefix), range(a, b + 1, step)))
     return out
-
-
-def count_level_at_least(c: Cube, level: int) -> int:
-    """Number of integer points of level >= ``level`` in the open cube.
-
-    Per axis these are the multiples of 2**level strictly inside the
-    side interval, and the qualifying points are exactly their product.
-    """
-    if level < 0:
-        raise ValueError(f"level must be non-negative, got {level}")
-    stride = 1 << level
-    total = 1
-    for corner in c.corner:
-        lo_mult = max(1, scalar_floor(corner / stride) + 1)
-        hi_mult = scalar_ceil((corner + c.width) / stride) - 1
-        if hi_mult < lo_mult:
-            return 0
-        total *= hi_mult - lo_mult + 1
-    return total

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import isqrt, log2
+from math import ceil, floor, isqrt, log2
 from typing import Optional
 
 from gridhit import adversary, engine, formats, geometry, oracle
@@ -29,7 +29,6 @@ from gridhit.exactnum import (
     SqrtExt,
     as_scalar,
     is_rational,
-    scalar_floor,
     sqrt_exact,
 )
 from gridhit.formats import InstanceFile
@@ -269,13 +268,12 @@ def gen_random(d: int, N: int, fatness: Scalar, shapes=("ball", "cube", "box"),
             f"bad width range [{min_width}, {max_width}]")
 
     rng = random.Random(seed)
-    lo8 = int(min_width * 8) if (min_width * 8).denominator == 1 else \
-        int(min_width * 8) + 1
+    lo8 = ceil(min_width * 8)
     hi8 = int(max_width * 8)
     buckets = max(1, (hi8 // lo8).bit_length())
 
     # Boxes need a rational cap on the per-axis width ratio below fatness.
-    ratio_cap = Fraction(scalar_floor(fatness * 64), 64)
+    ratio_cap = Fraction(floor(fatness * 64), 64)
 
     objects: list[FatObject] = []
     last_reason = "no attempt made"
@@ -323,7 +321,7 @@ def _sample_shape(rng: random.Random, kind: str, d: int, N: int,
         corner = tuple(Fraction(rng.randint(0, span), 8) for _ in range(d))
         return Cube(corner, w)
     # box: per-axis widths in [w/ratio_cap, w]
-    lo64 = int(-(-64 * w // ratio_cap))  # ceil
+    lo64 = ceil(64 * w / ratio_cap)
     hi64 = int(64 * w)
     widths = tuple(Fraction(rng.randint(lo64, hi64), 64) for _ in range(d))
     corner = []
@@ -476,7 +474,8 @@ def verify_level_count(N: int = 64, fatness_values=(Fraction(1), SQRT2),
                        cross_check: bool = True) -> SuiteResult:
     """Exhaustive d=2 scan: every integer-cornered cube of the critical
     width holds at most floor((4*fatness+1)**2) points of the given level;
-    counts come from the closed form and are re-counted naively."""
+    counts come from the engine's ``points_of_level`` and are re-counted
+    naively."""
     res = SuiteResult("levelcount", True, 0)
     grid = GridSpec(2, N)
     coord_level = [0] * N
@@ -484,16 +483,15 @@ def verify_level_count(N: int = 64, fatness_values=(Fraction(1), SQRT2),
         coord_level[i] = _naive_int_level(i)
     for fat in fatness_values:
         fat = as_scalar(fat)
-        cap = scalar_floor((4 * fat + 1) ** 2)
+        cap = floor((4 * fat + 1) ** 2)
         for level in range(grid.level_bound + 1):
-            width = scalar_floor(fat * (1 << (level + 2)))
+            width = floor(fat * (1 << (level + 2)))
             if width > N:
                 continue
             for cx in range(N - width + 1):
                 for cy in range(N - width + 1):
                     cube = Cube((cx, cy), width)
-                    cnt = (geometry.count_level_at_least(cube, level)
-                           - geometry.count_level_at_least(cube, level + 1))
+                    cnt = len(geometry.points_of_level(cube, level))
                     res.checked += 1
                     problem = None
                     if cnt > cap:
@@ -507,7 +505,7 @@ def verify_level_count(N: int = 64, fatness_values=(Fraction(1), SQRT2),
                                 if (lx if lx < ly else ly) == level:
                                     naive += 1
                         if naive != cnt:
-                            problem = f"closed form {cnt} != naive {naive}"
+                            problem = f"points_of_level {cnt} != naive {naive}"
                     if problem:
                         res.record({"corner": [cx, cy], "width": width,
                                     "level": level, "problem": problem})

@@ -15,11 +15,12 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import floor
 
 from gridhit import geometry as G
 from gridhit import harness, oracle
 from gridhit.engine import EngineState
-from gridhit.exactnum import is_rational, scalar_floor, sqrt_exact
+from gridhit.exactnum import is_rational, sqrt_exact
 from gridhit.formats import serialize_instance, shape_to_json
 from gridhit.geometry import Ball, Cube, GridSpec
 from gridhit.harness import base_shape, engine_opponent
@@ -133,11 +134,11 @@ def test_criterion_2_width_level_bounds_strict():
 def test_criterion_3_cube_count_exhaustive():
     """d=2, N=64, fatness in {1, sqrt(2)}: every integer-cornered cube of
     the critical width floor(fatness*2**(level+2)) holds at most 25
-    (resp. 44) points of that level; closed-form counts are re-counted
-    naively."""
+    (resp. 44) points of that level; the counts of the engine's
+    ``points_of_level`` are re-counted naively."""
     start = time.perf_counter()
-    assert scalar_floor((4 * F(1) + 1) ** 2) == 25
-    assert scalar_floor((4 * SQRT2 + 1) ** 2) == 44
+    assert floor((4 * F(1) + 1) ** 2) == 25
+    assert floor((4 * SQRT2 + 1) ** 2) == 44
     res = harness.verify_level_count(N=64, fatness_values=(F(1), SQRT2),
                                      cross_check=True)
     # The known dense window: 27 level-1 points inside a width-10.2 cube,

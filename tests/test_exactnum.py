@@ -6,15 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from gridhit import harness
+from gridhit.engine import EngineState
+
 from gridhit.exactnum import (
     SqrtExt,
     as_scalar,
-    rat_ceil,
-    rat_floor,
-    scalar_ceil,
-    scalar_floor,
     sqrt_exact,
 )
+from gridhit.geometry import Ball, Box, Cube, GridSpec, dilate
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=64)
 radicands = st.sampled_from([2, 3, 5, 6, 7, 10])
@@ -145,40 +145,35 @@ class TestFieldArithmetic:
 
 
 class TestFloors:
-    @given(rationals)
-    def test_rat_floor_ceil(self, q):
-        assert rat_floor(q) == math.floor(q)
-        assert rat_ceil(q) == math.ceil(q)
-
     @given(rationals, rationals, radicands, scales, scales)
     def test_scalar_floor_is_tight(self, a, b, s, scale_a, scale_b):
         x = value(a * scale_a, b * scale_b, s)
-        n = scalar_floor(x)
+        n = math.floor(x)
         assert n <= x < n + 1
-        m = scalar_ceil(x)
+        m = math.ceil(x)
         assert m - 1 < x <= m
 
     def test_known_floors(self):
-        assert scalar_floor(8 * sqrt_exact(2)) == 11
-        assert scalar_floor(33 + 8 * sqrt_exact(2)) == 44
-        assert scalar_floor(-sqrt_exact(2)) == -2
-        assert scalar_ceil(-sqrt_exact(2)) == -1
-        assert scalar_floor(Fraction(-7, 2)) == -4
+        assert math.floor(8 * sqrt_exact(2)) == 11
+        assert math.floor(33 + 8 * sqrt_exact(2)) == 44
+        assert math.floor(-sqrt_exact(2)) == -2
+        assert math.ceil(-sqrt_exact(2)) == -1
+        assert math.floor(Fraction(-7, 2)) == -4
         big = 2 ** 1100
-        assert scalar_floor(big + sqrt_exact(2)) == big + 1
-        assert scalar_ceil(big + sqrt_exact(2)) == big + 2
-        assert scalar_floor(-big - sqrt_exact(2)) == -big - 2
-        assert scalar_floor(big * sqrt_exact(2)) == math.isqrt(2 * big * big)
-        assert scalar_floor(-big * sqrt_exact(2)) == -math.isqrt(2 * big * big) - 1
-        assert scalar_floor((big + sqrt_exact(3)) / 3) == (big + 1) // 3
+        assert math.floor(big + sqrt_exact(2)) == big + 1
+        assert math.ceil(big + sqrt_exact(2)) == big + 2
+        assert math.floor(-big - sqrt_exact(2)) == -big - 2
+        assert math.floor(big * sqrt_exact(2)) == math.isqrt(2 * big * big)
+        assert math.floor(-big * sqrt_exact(2)) == -math.isqrt(2 * big * big) - 1
+        assert math.floor((big + sqrt_exact(3)) / 3) == (big + 1) // 3
 
     def test_cap_values_for_common_fatness(self):
         # floor((4*fatness+1)**d) for the shipped fatness values
-        assert scalar_floor((4 * Fraction(1) + 1) ** 2) == 25
-        assert scalar_floor((4 * sqrt_exact(2) + 1) ** 2) == 44
+        assert math.floor((4 * Fraction(1) + 1) ** 2) == 25
+        assert math.floor((4 * sqrt_exact(2) + 1) ** 2) == 44
         # (4*sqrt(3)+1)**3 = 145 + 204*sqrt(3) ~ 498.37
         assert (4 * sqrt_exact(3) + 1) ** 3 == 145 + 204 * sqrt_exact(3)
-        assert scalar_floor((4 * sqrt_exact(3) + 1) ** 3) == 498
+        assert math.floor((4 * sqrt_exact(3) + 1) ** 3) == 498
 
 
 class TestCoercion:
@@ -187,6 +182,25 @@ class TestCoercion:
             as_scalar(1.5)
         with pytest.raises(TypeError):
             sqrt_exact(2) + 0.5
+
+    def test_floats_rejected_at_every_entry(self):
+        # math.floor takes a float, so no float may get past the entry
+        # points to reach a floor.
+        grid = GridSpec(2, 16)
+        entries = [
+            lambda: Cube((1.5, 1), 2), lambda: Cube((1, 1), 2.0),
+            lambda: Ball((1.0, 1), 1), lambda: Ball((1, 1), 0.5),
+            lambda: Box((1.0, 1), (1, 1)), lambda: Box((1, 1), (1, 1.5)),
+            lambda: dilate(Cube((1, 1), 2), 1.5, (0, 0)),
+            lambda: dilate(Cube((1, 1), 2), 1, (0.5, 0)),
+            lambda: EngineState(grid, 1.5),
+            lambda: harness.gen_random(2, 16, 1.5, ("cube",), 2, seed=1),
+            lambda: harness.verify_level_count(N=16, fatness_values=(1.5,)),
+            lambda: harness.run_adversary(2, 16, "box", aspect=(1, 1.5)),
+        ]
+        for entry in entries:
+            with pytest.raises(TypeError, match="float"):
+                entry()
 
     def test_int_becomes_fraction(self):
         v = as_scalar(3)

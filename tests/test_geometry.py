@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridhit import geometry as G
 from gridhit.errors import EmptyObjectError, FatnessViolation, GridBoundsError
-from gridhit.exactnum import is_rational, scalar_floor, sqrt_exact
+from gridhit.exactnum import is_rational, sqrt_exact
 from gridhit.geometry import Ball, Box, Cube, GridSpec
 
 F = Fraction
@@ -68,6 +68,11 @@ class TestGridSpec:
             GridSpec(0, 16)
         with pytest.raises(ValueError):
             GridSpec(2, 1)
+        # bool is an int subclass; True must not pass as 1.
+        with pytest.raises(ValueError):
+            GridSpec(True, 16)
+        with pytest.raises(ValueError):
+            GridSpec(1, True)
 
 
 # -- levels ----------------------------------------------------------------------
@@ -102,6 +107,22 @@ class TestLevels:
     @given(st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=4))
     def test_point_level_matches_naive(self, coords):
         assert G.point_level(tuple(coords)) == naive_point_level(coords)
+
+    @given(st.integers(1, 300), st.integers(0, 300))
+    def test_max_coord_level_matches_naive(self, a, span):
+        b = a + span
+        want = max(naive_level(i) for i in range(a, b + 1))
+        assert G._max_coord_level(a, b) == want
+
+    @given(st.integers(1, 2 ** 600),
+           st.one_of(st.integers(0, 64), st.integers(0, 2 ** 600)))
+    def test_max_coord_level_at_scale(self, a, span):
+        # The smallest multiple of 2**l that is >= a lies in [a, b]; the
+        # smallest multiple of 2**(l+1) does not.
+        b = a + span
+        level = G._max_coord_level(a, b)
+        assert -(-a >> level) << level <= b
+        assert -(-a >> (level + 1)) << (level + 1) > b
 
 
 # -- enumeration ------------------------------------------------------------------
@@ -229,7 +250,7 @@ class TestPointsOfLevel:
         assert len(got) == 27
         want = [p for p in naive_interior(o, 16) if naive_point_level(p) == 1]
         assert got == want
-        assert len(got) <= scalar_floor((4 * sqrt_exact(2) + 1) ** 2) == 44
+        assert len(got) <= floor((4 * sqrt_exact(2) + 1) ** 2) == 44
 
     @settings(max_examples=60)
     @given(st.fractions(min_value=0, max_value=20, max_denominator=8),
@@ -270,11 +291,11 @@ def shapes_with_points(draw):
                  w + sqrt_exact(2) / draw(st.integers(2, 8)))
     else:
         o = Ball(tuple(c + w + shift for c in corner), w)
-    # Ranges of a copy, so that o's own corners are first computed under
+    # Corners of a copy, so that o's own corners are first computed under
     # test.
-    ranges = G.int_ranges(dataclasses.replace(o)) or ((1, 1),) * d
+    corners = G.int_corners(dataclasses.replace(o)) or ((1,) * d,) * 2
     axes = [st.sampled_from(sorted({a, b, b + 1} | ({a - 1} - {0})))
-            | st.integers(1, 20) for a, b in ranges]
+            | st.integers(1, 20) for a, b in zip(*corners)]
     points = draw(st.lists(st.tuples(*axes), max_size=12))
     return o, points
 
@@ -293,14 +314,14 @@ class TestGridPointsAmong:
 
     def test_no_ranges_and_no_points(self):
         o = Cube((F(1, 4), F(1, 4)), F(1, 2))
-        assert G.int_ranges(o) is None
+        assert G.int_corners(o) is None
         assert list(G.grid_points_among(o, [(1, 1), (2, 2)])) == []
         assert list(G.grid_points_among(Cube((0, 0), 4), [])) == []
 
     def test_ball_corner_needs_the_exact_test(self):
         # (1, 1) lies within the ball's ranges but outside the ball.
         o = Ball((2, 2), F(5, 4))
-        assert G.int_ranges(o) == ((1, 3), (1, 3))
+        assert G.int_corners(o) == ((1, 1), (3, 3))
         assert list(G.grid_points_among(o, [(1, 1), (2, 1), (3, 3)])) == [(2, 1)]
 
     def test_lazy(self):
@@ -310,12 +331,18 @@ class TestGridPointsAmong:
 
 # -- counting ---------------------------------------------------------------------
 
-class TestCountLevelAtLeast:
+def count_at_least(c, level):
+    """Points of level >= ``level`` in a cube inside (0, 64)^d."""
+    return sum(len(G.points_of_level(c, l)) for l in range(level, 6))
+
+
+class TestPointsOfLevelOnCubes:
     def test_width_sixteen_examples(self):
         c = Cube((0, 0), 16)
-        assert G.count_level_at_least(c, 3) == 1
-        assert G.count_level_at_least(c, 2) == 9
-        assert G.count_level_at_least(c, 0) == 15 * 15
+        assert G.points_of_level(c, 3) == [(8, 8)]
+        assert count_at_least(c, 3) == 1
+        assert count_at_least(c, 2) == 9
+        assert count_at_least(c, 0) == 15 * 15
 
     @settings(max_examples=120)
     @given(st.fractions(min_value=0, max_value=30, max_denominator=16),
@@ -324,9 +351,11 @@ class TestCountLevelAtLeast:
            st.integers(0, 5))
     def test_matches_brute_force(self, cx, cy, w, level):
         c = Cube((cx, cy), w)
-        want = sum(1 for p in naive_interior(c, 60)
-                   if naive_point_level(p) >= level)
-        assert G.count_level_at_least(c, level) == want
+        inside = naive_interior(c, 60)
+        want = [p for p in inside if naive_point_level(p) == level]
+        assert G.points_of_level(c, level) == want
+        assert count_at_least(c, level) == sum(
+            1 for p in inside if naive_point_level(p) >= level)
 
 
 # -- widths and fatness -------------------------------------------------------------
@@ -471,21 +500,19 @@ class TestDyadicWidthBounds:
     def test_max_level_points_capped(self):
         for o in random_objects(seed=6, count=400):
             level = G.object_level(o)
-            cap = scalar_floor((4 * sqrt_exact(G.fatness_sq(o)) + 1) ** 2)
+            cap = floor((4 * sqrt_exact(G.fatness_sq(o)) + 1) ** 2)
             assert len(G.points_of_level(o, level)) <= cap
 
     def test_cube_scan_respects_cap(self):
         # d=2 exhaustive at a small grid bound for both fatness classes.
         N = 32
         for fat in (F(1), sqrt_exact(2)):
-            cap = scalar_floor((4 * fat + 1) ** 2)
+            cap = floor((4 * fat + 1) ** 2)
             for level in range(GridSpec(2, N).level_bound + 1):
-                width = scalar_floor(fat * (1 << (level + 2)))
+                width = floor(fat * (1 << (level + 2)))
                 if width > N:
                     continue
                 for cx in range(N - width + 1):
                     for cy in range(N - width + 1):
                         cube = Cube((cx, cy), width)
-                        cnt = (G.count_level_at_least(cube, level)
-                               - G.count_level_at_least(cube, level + 1))
-                        assert cnt <= cap
+                        assert len(G.points_of_level(cube, level)) <= cap

@@ -92,6 +92,12 @@ class TestInstanceFiles:
             parse_instance('{"d":2,"N":64}\n')
         with pytest.raises(InstanceFormatError):
             parse_instance('{"d":2,"N":64,"alpha":"1/2"}\n')
+        cube = '{"shape":"cube","corner":[0],"width":4}\n'
+        with pytest.raises(ValueError, match="dimension"):
+            parse_instance('{"d":true,"N":8,"alpha":1}\n' + cube)
+        for bad in ('"count":true', '"seed":true', '"seed":1.5'):
+            with pytest.raises(InstanceFormatError, match="must be an integer"):
+                parse_instance('{"d":1,"N":8,"alpha":1,' + bad + '}\n' + cube)
 
     def test_object_validation_names_line(self):
         header = '{"d":2,"N":16,"alpha":1}'
@@ -283,9 +289,10 @@ class TestVerifySuites:
             "in_width == 2**(level+1) without dyadic alignment"}
 
     def test_broken_counting_is_caught(self, monkeypatch):
-        real = G.count_level_at_least
-        monkeypatch.setattr(G, "count_level_at_least",
-                            lambda c, l: real(c, l) + (1 if l == 0 else 0))
+        # One spurious level-0 point per cube.
+        real = G.points_of_level
+        monkeypatch.setattr(G, "points_of_level", lambda c, l: (
+            real(c, l) + ([(1, 1)] if l == 0 else [])))
         res = harness.verify_level_count(N=16)
         assert not res.passed
 
@@ -326,6 +333,15 @@ class TestCli:
         head, row = out.strip().splitlines()
         assert head.split(",")[:3] == ["d", "N", "alpha"]
         assert row.split(",")[0] == "2"
+
+    def test_run_rejects_boolean_header(self, tmp_path, capsys):
+        path = tmp_path / "bool.jsonl"
+        path.write_text('{"d":true,"N":8,"alpha":1,"count":true}\n'
+                        '{"shape":"cube","corner":[0],"width":4}\n')
+        code, out = self.run_cli("run", str(path))
+        assert code == 2
+        assert out == ""
+        assert "dimension" in capsys.readouterr().err
 
     def test_adversary_command(self):
         code, out = self.run_cli("adversary", "--d", "2", "--N", "256",

@@ -3,7 +3,9 @@
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
+from operator import or_
 
 import pytest
 
@@ -25,11 +27,16 @@ SQRT2 = sqrt_exact(2)
 
 
 def raw_brute_force_opt(objects):
-    """Independent optimum over the raw candidate points (no reduction)."""
+    """Independent optimum over the raw candidate points (no reduction).
+    Each point's mask of the objects containing it is computed once with
+    ``contains``; a subset hits all objects iff its masks OR to full."""
     points = sorted(set().union(*(G.grid_points_in(o) for o in objects)))
+    masks = [sum(1 << i for i, o in enumerate(objects) if G.contains(o, p))
+             for p in points]
+    full = (1 << len(objects)) - 1
     for size in range(0, len(points) + 1):
-        for combo in combinations(points, size):
-            if verify_hitting_set(objects, combo):
+        for combo in combinations(masks, size):
+            if reduce(or_, combo, 0) == full:
                 return size
     raise AssertionError("infeasible instance")
 
