@@ -18,7 +18,6 @@ from gridhit.adversary import (
     initial_object,
     new_game,
     next_object,
-    play_game,
 )
 from gridhit.engine import Added, AlreadyHit, Decision, EngineState
 from gridhit.errors import (

@@ -36,7 +36,6 @@ class GameState:
     objects: list[FatObject] = field(default_factory=list)
     responses: list[tuple[Point, ...]] = field(default_factory=list)
     empty_cells: list[Cube] = field(default_factory=list)
-    all_points: list[Point] = field(default_factory=list)
     point_set: set[Point] = field(default_factory=set)
     finished: bool = False
     final_width: Optional[Scalar] = None
@@ -131,15 +130,13 @@ def next_object(state: GameState,
     if next(geometry.grid_points_among(current, new_pts), None) is None:
         raise ProtocolError("the current object was left unhit")
     state.responses.append(tuple(new_pts))
-    state.all_points.extend(new_pts)
     state.point_set.update(new_pts)
 
+    # Earlier points miss the current object (the candidate check below
+    # proved it a step ago), so only this step's points can be inside.
     inner = geometry.inscribed_cube(current)
-    inside = list(geometry.grid_points_among(inner, state.all_points))
-    if len(inside) > len(new_pts):
-        # Points predating this step cannot be in the (unhit) object.
-        raise InvariantViolation("stale points inside the inscribed cube")
-    cell = find_empty_subcube(inner, inside)
+    cell = find_empty_subcube(
+        inner, list(geometry.grid_points_among(inner, new_pts)))
     state.empty_cells.append(cell)
 
     base_ec = geometry.enclosing_cube(state.base)
@@ -151,7 +148,7 @@ def next_object(state: GameState,
         state.finished = True
         state.final_width = geometry.out_width(candidate)
         return None
-    hit = next(geometry.grid_points_among(candidate, state.all_points), None)
+    hit = next(geometry.grid_points_among(candidate, state.point_set), None)
     if hit is not None:
         raise InvariantViolation(
             f"candidate object contains existing point {hit}")
@@ -169,18 +166,10 @@ def forced_minimum_met(grid: GridSpec, base: FatObject, total: int) -> bool:
     return (4 * fat_sq) ** total >= grid.N * grid.N
 
 
-def play_game(grid: GridSpec, base: FatObject, opponent: Opponent) -> GameSummary:
-    """Run the full game loop against an opponent callback.
-
-    The opponent receives each object and returns the points it places
-    that turn (at least one of them inside the object).
-    """
-    state = play_game_traced(grid, base, opponent)
-    return summarize(state)
-
-
 def play_game_traced(grid: GridSpec, base: FatObject,
                      opponent: Opponent) -> GameState:
+    """Play the full game against an opponent callback, which receives
+    each object and returns the points it places that turn."""
     state = new_game(grid, base)
     while not state.finished:
         current = state.objects[-1]

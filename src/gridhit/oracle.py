@@ -182,7 +182,6 @@ def exact_min_hitting_set(inst: ReducedInstance,
     cand_masks = _object_candidate_masks(inst)
     obj_cands = [[idx for idx, sig in enumerate(inst.signatures) if sig >> i & 1]
                  for i in range(m)]
-    root_lb = _disjoint_lower_bound(list(range(m)), cand_masks)
 
     best_points = sorted(greedy.points)
     best_size = len(best_points)
@@ -214,7 +213,8 @@ def exact_min_hitting_set(inst: ReducedInstance,
 
     dfs(0, [])
     if exhausted:
-        return HittingSetResult(tuple(best_points), False, root_lb, best_size)
+        return HittingSetResult(tuple(best_points), False, greedy.lower_bound,
+                                best_size)
     return HittingSetResult(tuple(best_points), True, best_size, best_size)
 
 

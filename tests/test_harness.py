@@ -1,11 +1,13 @@
 """Harness: generation, file formats, runs, sweeps, CLI, determinism."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -234,6 +236,17 @@ class TestRunAdversary:
         assert summary.forced_minimum_met
         assert report.opt_size == 1
 
+    def test_optimum_needs_no_offline_solve(self, monkeypatch):
+        # The certificate summarize checks in every object is the optimum.
+        def refuse(objects):
+            raise AssertionError("run_adversary called the offline oracle")
+
+        monkeypatch.setattr(harness.oracle, "reduce_instance", refuse)
+        summary, report = harness.run_adversary(2, 256, "ball")
+        assert summary.forced_minimum_met
+        assert report.opt_size == 1 and report.opt_exact
+        assert report.within_bound is True
+
     def test_trace_determinism(self, tmp_path):
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         harness.run_adversary(2, 512, "ball", "engine", trace_path=p1)
@@ -323,6 +336,16 @@ class TestCli:
             self.run_cli("gen", "--d", "2", "--N", "64", "--alpha", "sqrt(2)",
                          "--count", "12", "--seed", "21", "--out", str(path))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_gen_takes_irrational_widths(self, tmp_path):
+        inst = tmp_path / "i.jsonl"
+        code, out = self.run_cli("gen", "--d", "2", "--N", "32",
+                                 "--count", "5", "--seed", "2",
+                                 "--min-width", "sqrt(2)",
+                                 "--max-width", "sqrt(18)", "--out", str(inst))
+        assert code == 0
+        assert out == f"wrote 5 objects to {inst}\n"
+        assert len(read_instance(inst).objects) == 5
 
     def test_run_csv_format(self, tmp_path):
         inst = tmp_path / "i.jsonl"
@@ -419,3 +442,24 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+
+class TestBenchmarkHooks:
+    def test_traced_names_resolve(self):
+        # The benchmark wraps these names from outside the package; a
+        # renamed or deleted one would only fail there.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("_bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        names = [(owner, attr) for _, owner, attr in spans.TIMED]
+        names += [(owner, attr) for _, owner, attrs in spans.COUNTED
+                  for attr in attrs]
+        assert len(names) == 33
+        for owner, attr in names:
+            module, _, cls = owner.partition(":")
+            assert module.startswith("gridhit."), owner
+            target = importlib.import_module(module)
+            if cls:
+                target = getattr(target, cls)
+            assert callable(getattr(target, attr, None)), (owner, attr)
