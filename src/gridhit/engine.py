@@ -48,7 +48,6 @@ class RatioReport:
     ratio: Fraction
     bound: float
     within_bound: bool
-    exact_comparison: bool
 
 
 class EngineState:
@@ -127,32 +126,64 @@ class EngineState:
 
     # -- results -------------------------------------------------------------
 
-    def hitting_set(self) -> list[Point]:
-        return list(self.chosen)
-
     def ratio_report(self, opt_size: int) -> RatioReport:
         return check_ratio_bound(self.grid, self.fatness,
                                  len(self.chosen), opt_size)
 
 
+def ratio_bound(grid: GridSpec, fatness: Scalar) -> tuple[Scalar, float]:
+    """The factor (4*fatness+1)**(2d), exact, and the bound
+    factor * log2(N) as a display float."""
+    factor = (4 * as_scalar(fatness) + 1) ** (2 * grid.d)
+    return factor, float(factor) * log2(grid.N)
+
+
+def _log2_bracket(n: int, t: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= log2(n) < hi, about 2**-t apart.
+
+    With k = 2**t, lo = b/k and hi = (b+1)/k for b = floor(log2(n**k)),
+    the bit length of n**k less one.  n**k is squared up from n, each
+    square rounded down for a low and up for a high bound on it and cut
+    to its leading bits, so its size stays O(t) bits; the bracket may
+    then be one step of 1/k wider.
+    """
+    lo = hi = n
+    shift = 0
+    keep = 2 * t + 64
+    for _ in range(t):
+        lo, hi, shift = lo * lo, hi * hi, 2 * shift
+        cut = max(0, hi.bit_length() - keep)
+        lo >>= cut
+        hi = -(-hi >> cut)
+        shift += cut
+    # lo * 2**shift <= n**k <= hi * 2**shift
+    k = 1 << t
+    return (Fraction(shift + lo.bit_length() - 1, k),
+            Fraction(shift + hi.bit_length(), k))
+
+
 def check_ratio_bound(grid: GridSpec, fatness: Scalar,
                       alg_size: int, opt_size: int) -> RatioReport:
-    """Compare alg_size/opt_size with (4*fatness+1)**(2d) * log2(N).
+    """Compare alg_size/opt_size with (4*fatness+1)**(2d) * log2(N),
+    exactly for every N.
 
-    The comparison is exact whenever N is a power of two (the log is an
-    integer and the factor an exact scalar); otherwise it falls back to a
-    float comparison with a hair of slack.
+    For N a power of two the log is an integer.  Otherwise log2(N) is
+    transcendental (Gelfond-Schneider), so it never equals the ratio
+    over the factor, an element of Q(sqrt(s)); brackets of log2(N) are
+    halved until one of them excludes that quotient.
     """
     if opt_size < 1:
         raise ValueError(f"opt_size must be >= 1, got {opt_size}")
     ratio = Fraction(alg_size, opt_size)
-    factor = (4 * as_scalar(fatness) + 1) ** (2 * grid.d)
+    factor, bound = ratio_bound(grid, fatness)
     n = grid.N
     if n & (n - 1) == 0:
         within = ratio <= factor * (n.bit_length() - 1)
-        exact = True
     else:
-        within = float(ratio) <= float(factor) * log2(n) * (1 + 1e-12)
-        exact = False
-    return RatioReport(ratio, float(factor) * log2(n), within, exact)
-
+        t = 0
+        lo, hi = _log2_bracket(n, t)
+        while factor * lo < ratio < factor * hi:
+            t += 1
+            lo, hi = _log2_bracket(n, t)
+        within = ratio <= factor * lo
+    return RatioReport(ratio, bound, within)

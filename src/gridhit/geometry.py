@@ -45,17 +45,9 @@ class GridSpec:
         """Largest level any point of P can have: floor(log2(N-1))."""
         return (self.N - 1).bit_length() - 1
 
-    @property
-    def point_count(self) -> int:
-        return (self.N - 1) ** self.d
-
     def contains_point(self, p) -> bool:
         return (len(p) == self.d
                 and all(isinstance(c, int) and 1 <= c <= self.N - 1 for c in p))
-
-    def all_points(self):
-        """Iterate all of P in lexicographic order (desk scale only)."""
-        return product(range(1, self.N), repeat=self.d)
 
 
 def _scalar_tuple(values) -> tuple[Scalar, ...]:
@@ -301,12 +293,19 @@ def _integral(x: Scalar):
 def _ball_int_args(o: Ball):
     """Scale a ball by the lcm ``den`` of all its rational parts (a SqrtExt
     has two): center*den and (radius*den)**2 are ints, or SqrtExt values
-    with integer parts.  Returns the center, den and squared radius."""
+    with integer parts.  Returns the center, den and squared radius.
+    Computed on first use and kept on the ball, as ``int_corners`` is."""
+    try:
+        return o._int_args
+    except AttributeError:
+        pass
     parts = [p for v in (*o.center, o.radius)
              for p in ((v.a, v.b) if isinstance(v, SqrtExt) else (v,))]
     den = lcm(*(Fraction(p).denominator for p in parts))
     cnum = tuple(_integral(c * den) for c in o.center)
-    return cnum, den, _integral((o.radius * den) ** 2)
+    args = cnum, den, _integral((o.radius * den) ** 2)
+    object.__setattr__(o, "_int_args", args)
+    return args
 
 
 def _align(a: int, stride: int) -> int:

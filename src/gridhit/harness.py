@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, isqrt, log2
+from math import ceil, floor, isqrt
 from typing import Optional
 
 from gridhit import adversary, engine, formats, geometry, oracle
@@ -106,8 +106,7 @@ def run_online(inst: InstanceFile, transcript_path=None,
     opt_exact = False
     ratio = None
     within = None
-    factor = (4 * as_scalar(inst.fatness) + 1) ** (2 * inst.grid.d)
-    bound = float(factor) * log2(inst.grid.N)
+    _, bound = engine.ratio_bound(inst.grid, inst.fatness)
     if inst.objects:
         reduced = oracle.reduce_instance(inst.objects)
         result = oracle.exact_min_hitting_set(reduced, budget=oracle_budget)
@@ -115,7 +114,6 @@ def run_online(inst: InstanceFile, transcript_path=None,
         opt_exact = result.exact
         rr = eng.ratio_report(opt_size)
         ratio = rr.ratio
-        bound = rr.bound
         within = rr.within_bound if opt_exact else None
     return Report(
         d=inst.grid.d, N=inst.grid.N, fatness=inst.fatness,
@@ -568,10 +566,27 @@ def verify_ratio(count: int = 200, seed: int = 715) -> SuiteResult:
     return res
 
 
+# A 600-object instance (1012 candidates) and its certified optimum.
+_ORACLE_LARGE = dict(d=2, N=256, fatness=SQRT2, count=600, seed=2,
+                     max_width=64)
+_ORACLE_LARGE_OPT = 294
+
+
 def verify_oracle(count: int = 100, seed: int = 908) -> SuiteResult:
-    """Branch and bound vs. exhaustive subset enumeration on instances
-    whose reduced candidate count is at most 12, plus sandwich checks."""
+    """The exact solver vs. exhaustive subset enumeration on ``count``
+    instances whose reduced candidate count is at most 12, plus sandwich
+    checks; and, beyond the count, one 600-object instance certified at
+    its known optimum."""
     res = SuiteResult("oracle", True, 0)
+    inst = gen_random(**_ORACLE_LARGE)
+    reduced = oracle.reduce_instance(inst.objects)
+    large = oracle.exact_min_hitting_set(reduced)
+    if not (large.exact and large.lower_bound == large.size
+            == _ORACLE_LARGE_OPT <= oracle.greedy_hitting_set(reduced).size
+            and oracle.verify_hitting_set(inst.objects, large.points)):
+        res.record({"problem": f"{len(inst.objects)} objects: optimum "
+                    f"{large.size} (exact={large.exact}), not certified "
+                    f"at {_ORACLE_LARGE_OPT}"})
     attempts = 0
     while res.checked < count and attempts < 40 * count:
         attempts += 1

@@ -5,11 +5,16 @@ has to be certified exact.  The reduction sweeps each object's lattice
 rows (``geometry.grid_rows``): along a row the set of objects containing
 a point changes only where some object's interval starts or ends, so it
 costs O(rows log rows), not time or memory in proportion to object area.
-Desk-scale instances reduce to a few hundred distinct candidate
-signatures; branch and bound with signature deduplication and dominance
-pruning then solves them in milliseconds.
-A greedy approximation and a brute-force subset enumeration are provided
-as the fallback and as the independent cross-check.
+Candidates with equal signatures are merged and dominated ones dropped.
+
+The exact solver then applies the classic set-cover data reductions
+(Weihe, "Covering trains by stations or the power of data reduction",
+ALENEX 1998) until none applies: an object with one candidate forces it,
+an object whose candidates include another object's goes, and so does a
+candidate whose objects are a subset of another's.  What is left splits
+into connected components, and branch and bound solves each one, seeded
+by greedy.  A greedy approximation and a brute-force subset enumeration
+are also provided, the latter as the independent cross-check.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, islice
+from typing import Iterable, Iterator
 
 from gridhit import geometry
 from gridhit.errors import EmptyObjectError
@@ -107,11 +113,17 @@ def reduce_instance(objects: list[FatObject]) -> ReducedInstance:
             if sig and sig not in best:
                 best[sig] = prefix + (x,)
 
-    # Dominance: drop signatures that are strict subsets of a kept one.
+    # Dominance: drop signatures that are strict subsets of a kept one.  A
+    # kept superset holds the signature's first object, so only the kept
+    # signatures holding that object are tried.
     kept: list[int] = []
+    holding: list[list[int]] = [[] for _ in range(m)]
     for sig in sorted(best, key=lambda s: (-s.bit_count(), best[s])):
-        if not any(sig & other == sig for other in kept):
+        first = (sig & -sig).bit_length() - 1
+        if not any(sig & other == sig for other in holding[first]):
             kept.append(sig)
+            for i in _bits(sig):
+                holding[i].append(sig)
 
     pairs = sorted((best[sig], sig) for sig in kept)
     return ReducedInstance(list(objects),
@@ -120,27 +132,53 @@ def reduce_instance(objects: list[FatObject]) -> ReducedInstance:
                            full)
 
 
-def _object_candidate_masks(inst: ReducedInstance) -> list[int]:
-    """For each object, the bitmask of candidate indices hitting it."""
-    m = len(inst.objects)
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _candidate_masks(signatures: list[int], m: int) -> list[int]:
+    """For each of the m objects, the bitmask of candidate indices hitting
+    it."""
     out = [0] * m
-    for idx, sig in enumerate(inst.signatures):
-        for i in range(m):
-            if sig >> i & 1:
-                out[i] |= 1 << idx
+    for idx, sig in enumerate(signatures):
+        for i in _bits(sig):
+            out[i] |= 1 << idx
     return out
 
 
-def _disjoint_lower_bound(uncovered: list[int], cand_masks: list[int]) -> int:
-    """Greedy count of pairwise candidate-disjoint objects: a valid lower
-    bound, since disjoint objects need distinct points."""
+def _disjoint_lower_bound(objects: Iterable[int], cands: list[int]) -> int:
+    """Greedy count of pairwise candidate-disjoint objects, taken in the
+    given order: a valid lower bound, since disjoint objects need distinct
+    points."""
     picked = 0
     used = 0
-    for i in sorted(uncovered, key=lambda i: (cand_masks[i].bit_count(), i)):
-        if cand_masks[i] & used == 0:
+    for i in objects:
+        if cands[i] & used == 0:
             picked += 1
-            used |= cand_masks[i]
+            used |= cands[i]
     return picked
+
+
+def _greedy(sigs: list[int], full: int) -> list[int]:
+    """Candidate indices of a greedy cover of ``full``: repeatedly the
+    first candidate hitting the most objects not yet hit."""
+    covered = 0
+    chosen: list[int] = []
+    while covered != full:
+        best_idx, best_gain = -1, 0
+        for idx, sig in enumerate(sigs):
+            gain = (sig & ~covered).bit_count()
+            if gain > best_gain:
+                best_gain, best_idx = gain, idx
+        if best_idx < 0:
+            raise EmptyObjectError("some object has no candidate point")
+        covered |= sigs[best_idx]
+        chosen.append(best_idx)
+    return chosen
 
 
 def greedy_hitting_set(inst: ReducedInstance) -> HittingSetResult:
@@ -148,74 +186,166 @@ def greedy_hitting_set(inst: ReducedInstance) -> HittingSetResult:
     m = len(inst.objects)
     if m == 0:
         return HittingSetResult((), True, 0, 0)
-    covered = 0
-    chosen: list[Point] = []
-    while covered != inst.full_mask:
-        best_idx = -1
-        best_gain = -1
-        for idx, sig in enumerate(inst.signatures):
-            gain = (sig & ~covered).bit_count()
-            if gain > best_gain:
-                best_gain, best_idx = gain, idx
-        if best_gain <= 0:
-            raise EmptyObjectError("some object has no candidate point")
-        covered |= inst.signatures[best_idx]
-        chosen.append(inst.candidates[best_idx])
-    cand_masks = _object_candidate_masks(inst)
-    lb = _disjoint_lower_bound(list(range(m)), cand_masks)
-    return HittingSetResult(tuple(chosen), len(chosen) == lb, lb, len(chosen))
+    chosen = _greedy(inst.signatures, inst.full_mask)
+    cands = _candidate_masks(inst.signatures, m)
+    lb = _disjoint_lower_bound(
+        sorted(range(m), key=lambda i: (cands[i].bit_count(), i)), cands)
+    return HittingSetResult(tuple(inst.candidates[i] for i in chosen),
+                            len(chosen) == lb, lb, len(chosen))
 
 
-def exact_min_hitting_set(inst: ReducedInstance,
-                          budget: int = 1_000_000) -> HittingSetResult:
-    """Optimal hitting set by branch and bound.
+def _reduce(sigs: list[int], cands: list[int]) -> tuple[list[int], int]:
+    """Apply the data reductions until none applies; each keeps an optimum.
 
-    Branches on the uncovered object with the fewest candidates; a greedy
-    solution seeds the upper bound and greedy disjointness prunes.  If the
-    node budget runs out the result is returned with ``exact=False`` and
-    honest bounds.
+    - An object with one candidate forces it; the objects it hits go.
+    - An object whose candidates include all of another object's goes:
+      any point hitting the other hits it too.
+    - A candidate whose objects left are a subset of another's goes (of
+      two equal ones the later, larger point).
+
+    ``sigs`` and ``cands`` are cut down in place to the objects and
+    candidates left.  Returns the forced candidates and the mask of the
+    objects left.
     """
-    m = len(inst.objects)
-    if m == 0:
-        return HittingSetResult((), True, 0, 0)
-    greedy = greedy_hitting_set(inst)
-    cand_masks = _object_candidate_masks(inst)
-    obj_cands = [[idx for idx, sig in enumerate(inst.signatures) if sig >> i & 1]
-                 for i in range(m)]
+    objs = (1 << len(cands)) - 1
+    cols = (1 << len(sigs)) - 1
+    forced: list[int] = []
+    while True:
+        before = objs, cols
+        for i in _bits(objs):
+            c = cands[i]
+            if objs >> i & 1 and c & (c - 1) == 0:
+                idx = c.bit_length() - 1
+                forced.append(idx)
+                objs &= ~sigs[idx]
+                cols &= ~c
+        for j in _bits(objs):
+            if objs >> j & 1:
+                # The objects whose candidates include all of j's.
+                sup = objs
+                for idx in _bits(cands[j]):
+                    sup &= sigs[idx]
+                objs &= ~sup | 1 << j
+        for idx in _bits(cols):
+            sigs[idx] &= objs
+        for idx in _bits(cols):
+            s = sigs[idx]
+            # A candidate dominating idx hits s's first object.
+            first = (s & -s).bit_length() - 1
+            if s == 0 or any(
+                    other != idx and s & sigs[other] == s
+                    and (s != sigs[other] or other < idx)
+                    for other in _bits(cands[first] & cols)):
+                cols &= ~(1 << idx)
+        for i in _bits(objs):
+            cands[i] &= cols
+        if (objs, cols) == before:
+            return forced, objs
 
-    best_points = sorted(greedy.points)
-    best_size = len(best_points)
+
+def _components(sigs: list[int], cands: list[int],
+                objs: int) -> Iterator[tuple[int, int]]:
+    """Split the objects in ``objs`` into connected components, objects
+    being linked by a shared candidate.  Yields each component's object
+    and candidate masks, by lowest object first."""
+    while objs:
+        comp = new = objs & -objs
+        cols = 0
+        while new:
+            new_cols = 0
+            for i in _bits(new):
+                new_cols |= cands[i]
+            new_cols &= ~cols
+            cols |= new_cols
+            new = 0
+            for idx in _bits(new_cols):
+                new |= sigs[idx]
+            new &= ~comp
+            comp |= new
+        objs &= ~comp
+        yield comp, cols
+
+
+def _branch_and_bound(sigs: list[int], cands: list[int], comp: int,
+                      comp_cols: int,
+                      budget: int) -> tuple[list[int], int, int]:
+    """Minimum cover of one component by branch and bound.
+
+    The component is renumbered: candidates in index order, objects by
+    (candidate count, index), so the lowest uncovered bit is the object
+    with the fewest candidates, the one to branch on.  Greedy seeds the
+    upper bound; greedy disjointness prunes.  At most ``budget`` nodes
+    are expanded.  Returns the candidate indices chosen, a lower bound
+    and the nodes used.
+    """
+    objs = sorted(_bits(comp), key=lambda i: (cands[i].bit_count(), i))
+    cols = list(_bits(comp_cols))
+    obj_bit = {i: 1 << j for j, i in enumerate(objs)}
+    col_bit = {c: 1 << j for j, c in enumerate(cols)}
+    lsigs = [sum(obj_bit[i] for i in _bits(sigs[c])) for c in cols]
+    lcands = [sum(col_bit[c] for c in _bits(cands[i])) for i in objs]
+    full = (1 << len(objs)) - 1
+
+    best = _greedy(lsigs, full)
+    root_lb = _disjoint_lower_bound(range(len(objs)), lcands)
     nodes = 0
     exhausted = False
 
     def dfs(covered: int, chosen: list[int]):
-        nonlocal best_points, best_size, nodes, exhausted
-        if covered == inst.full_mask:
-            pts = sorted(inst.candidates[i] for i in chosen)
-            if len(pts) < best_size or (len(pts) == best_size and pts < best_points):
-                best_size = len(pts)
-                best_points = pts
+        nonlocal best, nodes, exhausted
+        if covered == full:
+            if len(chosen) < len(best):
+                best = list(chosen)
             return
         if exhausted:
             return
-        nodes += 1
-        if nodes > budget:
+        uncovered = full & ~covered
+        if len(chosen) + _disjoint_lower_bound(_bits(uncovered),
+                                               lcands) >= len(best):
+            return
+        if nodes == budget:
             exhausted = True
             return
-        uncovered = [i for i in range(m) if not covered >> i & 1]
-        if len(chosen) + _disjoint_lower_bound(uncovered, cand_masks) >= best_size:
-            return
-        branch = min(uncovered, key=lambda i: (len(obj_cands[i]), i))
-        for idx in obj_cands[branch]:
+        nodes += 1
+        branch = (uncovered & -uncovered).bit_length() - 1
+        for idx in _bits(lcands[branch]):
             chosen.append(idx)
-            dfs(covered | inst.signatures[idx], chosen)
+            dfs(covered | lsigs[idx], chosen)
             chosen.pop()
 
     dfs(0, [])
-    if exhausted:
-        return HittingSetResult(tuple(best_points), False, greedy.lower_bound,
-                                best_size)
-    return HittingSetResult(tuple(best_points), True, best_size, best_size)
+    lb = root_lb if exhausted else len(best)
+    return [cols[j] for j in best], lb, nodes
+
+
+def exact_min_hitting_set(inst: ReducedInstance,
+                          budget: int = 1_000_000) -> HittingSetResult:
+    """Optimal hitting set: data reductions, then branch and bound on each
+    connected component of what is left.
+
+    One node budget covers all components.  The lower bound adds the
+    forced candidates and, per component, its optimum or, where the
+    budget ran out first, its disjointness bound; ``exact`` says whether
+    it meets the size.  Among optima the points are those found first,
+    sorted.
+    """
+    m = len(inst.objects)
+    if m == 0:
+        return HittingSetResult((), True, 0, 0)
+    sigs = list(inst.signatures)
+    cands = _candidate_masks(sigs, m)
+    if not all(cands):
+        raise EmptyObjectError("some object has no candidate point")
+    chosen, objs = _reduce(sigs, cands)
+    lower = len(chosen)
+    for comp, comp_cols in _components(sigs, cands, objs):
+        picked, lb, nodes = _branch_and_bound(sigs, cands, comp, comp_cols,
+                                              budget)
+        chosen += picked
+        lower += lb
+        budget -= nodes
+    points = tuple(sorted(inst.candidates[idx] for idx in chosen))
+    return HittingSetResult(points, lower == len(points), lower, len(points))
 
 
 def exhaustive_min_hitting_set(inst: ReducedInstance) -> HittingSetResult:

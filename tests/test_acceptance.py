@@ -59,7 +59,7 @@ def test_criterion_1_level_pattern_n16():
     grid = GridSpec(2, 16)
     histogram = Counter()
     top_points = []
-    for p in grid.all_points():
+    for p in product(range(1, grid.N), repeat=grid.d):
         lvl = G.point_level(p)
         assert lvl == min(naive_level(c) for c in p)
         histogram[lvl] += 1

@@ -1,15 +1,17 @@
 """Online engine: decisions, invariants, the per-level proof check,
 determinism."""
 
+import math
 import time
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
 from gridhit import geometry as G
 from gridhit import oracle
-from gridhit.engine import Added, AlreadyHit, EngineState
+from gridhit.engine import Added, AlreadyHit, EngineState, check_ratio_bound
 from gridhit.errors import (
     EmptyObjectError,
     FatnessViolation,
@@ -69,7 +71,7 @@ def five_objects_two_hubs():
 class TestConstruction:
     def test_fresh_engine_is_empty(self):
         eng = EngineState(GRID16, SQRT2)
-        assert eng.hitting_set() == []
+        assert eng.chosen == []
         assert eng.steps == 0
 
     def test_one_dimensional_engine(self):
@@ -96,7 +98,7 @@ class TestProcess:
         o = Ball((4, 4), F(5, 2))
         eng.process(o)
         assert eng.process(o) == AlreadyHit()
-        assert eng.hitting_set() == [(4, 4)]
+        assert eng.chosen == [(4, 4)]
         assert eng.already_hit_count == 1
 
     def test_single_point_object(self):
@@ -124,7 +126,7 @@ class TestProcess:
         unhit_before = {lvl: list(same) for lvl, same in eng.unhit.items()}
         counts_before = dense_counts(eng)
         eng.process(Ball((4, 4), 2))  # contains (4,4)
-        assert eng.hitting_set() == [(4, 4)]
+        assert eng.chosen == [(4, 4)]
         assert eng.unhit == unhit_before
         assert dense_counts(eng) == counts_before
 
@@ -143,7 +145,7 @@ class TestRunInvariants:
             eng = EngineState(inst.grid, inst.fatness)
             for o in inst.objects:
                 eng.process(o)
-            assert oracle.verify_hitting_set(inst.objects, eng.hitting_set())
+            assert oracle.verify_hitting_set(inst.objects, eng.chosen)
 
     def test_step_bound_and_counter_caps(self):
         for inst in fuzz_instances():
@@ -161,7 +163,7 @@ class TestRunInvariants:
             for _ in range(2):
                 eng = EngineState(inst.grid, inst.fatness)
                 decisions = [eng.process(o) for o in inst.objects]
-                runs.append((decisions, eng.hitting_set()))
+                runs.append((decisions, eng.chosen))
             assert runs[0] == runs[1]
 
     def test_counts_only_mode(self):
@@ -205,13 +207,13 @@ class TestRatioReport:
         eng = EngineState(GRID16, 1)
         for o in objs:
             assert isinstance(eng.process(o), Added)
-        assert len(eng.hitting_set()) == 5
+        assert len(eng.chosen) == 5
         result = oracle.exact_min_hitting_set(oracle.reduce_instance(objs))
         assert result.exact and result.size == 2
         assert result.points == ((5, 5), (11, 11))
         report = eng.ratio_report(result.size)
         assert report.ratio == F(5, 2)
-        assert report.within_bound and report.exact_comparison
+        assert report.within_bound
 
     def test_empty_engine(self):
         eng = EngineState(GRID16, SQRT2)
@@ -229,11 +231,34 @@ class TestRatioReport:
         assert len(decision.points) <= eng.step_cap
         assert eng.ratio_report(1).ratio == len(decision.points)
 
-    def test_non_power_of_two_grid_uses_float_bound(self):
-        eng = EngineState(GridSpec(2, 17), SQRT2)
-        report = eng.ratio_report(1)
-        assert not report.exact_comparison
-        assert report.within_bound
+    @pytest.mark.parametrize("N", [17, 40, 192, 3 ** 40])
+    def test_non_power_of_two_grid_decides_exactly(self, N):
+        """Ratios 10**-40 below and above factor * log2(N), which
+        rounds to the same float as both, get opposite verdicts."""
+        grid = GridSpec(2, N)
+        scale = 10 ** 40
+        with localcontext() as ctx:
+            ctx.prec = 80
+            exact = ((4 * Decimal(2).sqrt() + 1) ** 4
+                     * Decimal(N).ln() / Decimal(2).ln())
+            below = int(exact * scale)
+            assert below < exact * scale < below + 1
+        low = check_ratio_bound(grid, SQRT2, below, scale)
+        high = check_ratio_bound(grid, SQRT2, below + 1, scale)
+        assert low.within_bound and not high.within_bound
+        assert abs(float(high.ratio) - high.bound) <= 1e-15 * high.bound
+        display = float((4 * SQRT2 + 1) ** 4) * math.log2(N)
+        assert low.bound == high.bound == display
+
+    def test_rational_verdicts_match_integer_powers(self):
+        """At d = 2 and fatness 1 (factor 5**4), ratio a/b is within the
+        bound iff a/(625 b) <= log2 N, i.e. 2**a <= N**(625 b)."""
+        for N in (3, 5, 6, 7, 12, 17, 40, 47, 100):
+            for b in range(1, 6):
+                centre = int(625 * b * math.log2(N))
+                for a in range(centre - 3, centre + 4):
+                    report = check_ratio_bound(GridSpec(2, N), 1, a, b)
+                    assert report.within_bound == (2 ** a <= N ** (625 * b))
 
 
 class TestInstrumentationCounters:

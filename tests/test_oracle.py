@@ -15,6 +15,7 @@ from gridhit.exactnum import sqrt_exact
 from gridhit.geometry import Ball, Box, Cube
 from gridhit.harness import gen_random
 from gridhit.oracle import (
+    ReducedInstance,
     exact_min_hitting_set,
     exhaustive_min_hitting_set,
     greedy_hitting_set,
@@ -91,6 +92,47 @@ def small_instances(count, seed=0):
                           max_width=7)
         made += 1
         yield inst.objects
+
+
+def bitmask_instance(signatures, m):
+    """A ``ReducedInstance`` straight from signatures over m objects; the
+    candidate points are (index,)."""
+    return ReducedInstance([None] * m, [(i,) for i in range(len(signatures))],
+                           list(signatures), (1 << m) - 1)
+
+
+def covers(inst, res):
+    hit = reduce(or_, (inst.signatures[p[0]] for p in res.points), 0)
+    return hit == inst.full_mask
+
+
+def random_set_cover(rng):
+    """One to three disconnected blocks of three to six candidates, at
+    most 12 in all.  Most objects take two or three candidates of their
+    block, which the reductions seldom remove; some take one (forced) and
+    some a superset of an earlier object's (dominated)."""
+    sizes = [rng.randint(3, 6) for _ in range(rng.randint(1, 3))]
+    while sum(sizes) > 12:
+        sizes.pop()
+    sigs = [0] * sum(sizes)
+    m = lo = 0
+    for size in sizes:
+        block = range(lo, lo + size)
+        lo += size
+        previous = []
+        for _ in range(rng.randint(2, 8)):
+            kind = rng.random()
+            if kind < 0.1:
+                chosen = {rng.choice(block)}
+            elif kind < 0.2 and previous:
+                chosen = rng.choice(previous) | {rng.choice(block)}
+            else:
+                chosen = set(rng.sample(block, 2 + (kind < 0.4)))
+            previous.append(chosen)
+            for c in chosen:
+                sigs[c] |= 1 << m
+            m += 1
+    return bitmask_instance(sigs, m)
 
 
 class TestReduce:
@@ -212,12 +254,70 @@ class TestExact:
         assert compared >= 30
 
     def test_budget_exhaustion_returns_bounds(self):
+        # The reductions alone solve this one: no node is needed.
         objects = next(small_instances(1, seed=11))
+        res = exact_min_hitting_set(reduce_instance(objects), budget=0)
+        assert res.exact and res.lower_bound == res.size
+        # This one leaves a component that needs a search.
+        objects = gen_random(2, 41, SQRT2, ("ball", "cube", "box"), 80,
+                             seed=1, min_width=6, max_width=16).objects
         red = reduce_instance(objects)
         res = exact_min_hitting_set(red, budget=0)
         assert not res.exact
-        assert res.lower_bound <= res.upper_bound == res.size
+        assert res.lower_bound < res.upper_bound == res.size
         assert verify_hitting_set(objects, res.points)
+        full = exact_min_hitting_set(red)
+        assert full.exact and res.lower_bound <= full.size <= res.size
+
+    def test_equal_candidates_keep_the_smaller_point(self):
+        # Object 1's only candidate (2,) is forced and hits object 2 too.
+        # That leaves object 0, hit by (0,) and (1,) alike; the smaller
+        # point is kept.
+        inst = bitmask_instance([0b101, 0b001, 0b110], 3)
+        assert exact_min_hitting_set(inst).points == ((0,), (2,))
+
+    def test_one_budget_covers_all_components(self):
+        """Three triangles (three objects, each pair sharing a candidate,
+        optimum 2, disjointness bound 1) and one forced candidate.  Each
+        triangle takes one node to prove, so the budget decides how many
+        finish; the bounds stay honest either way."""
+        triangle = [0b011, 0b110, 0b101]
+        sigs = [sig << 3 * t for t in range(3) for sig in triangle] + [1 << 9]
+        inst = bitmask_instance(sigs, 10)
+        for budget in range(5):
+            res = exact_min_hitting_set(inst, budget=budget)
+            assert covers(inst, res)
+            assert res.size == res.upper_bound == 7
+            assert res.lower_bound == 4 + min(budget, 3)
+            assert res.exact == (budget >= 3)
+
+    def test_random_set_covers_match_exhaustive(self):
+        """Small set-cover instances with forced, dominated and
+        disconnected parts: the optimum matches brute force, covers, and
+        sits between the lower bound and greedy."""
+        rng = random.Random(5)
+        for _ in range(1000):
+            inst = random_set_cover(rng)
+            res = exact_min_hitting_set(inst)
+            ex = exhaustive_min_hitting_set(inst)
+            greedy = greedy_hitting_set(inst)
+            assert res.exact and res.size == ex.size, inst
+            assert covers(inst, res)
+            assert res.lower_bound <= res.size <= greedy.size
+            assert res.points == tuple(sorted(res.points))
+
+    def test_five_hundred_objects_certified(self):
+        """500 objects, 821 candidates: plain branch and bound was still
+        inexact after 100k nodes and 10 s."""
+        inst = gen_random(2, 256, SQRT2, ("ball", "cube", "box"), 500,
+                          seed=1, max_width=64)
+        red = reduce_instance(inst.objects)
+        assert len(red.candidates) == 821
+        t0 = time.perf_counter()
+        res = exact_min_hitting_set(red)
+        assert time.perf_counter() - t0 < 2.0
+        assert res.exact and res.size == res.lower_bound == 238
+        assert verify_hitting_set(inst.objects, res.points)
 
     def test_deterministic_tie_break(self):
         objects = [Cube((0, 0), 4), Cube((4, 4), 4)]
