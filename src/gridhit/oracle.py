@@ -5,7 +5,13 @@ has to be certified exact.  The reduction sweeps each object's lattice
 rows (``geometry.grid_rows``): along a row the set of objects containing
 a point changes only where some object's interval starts or ends, so it
 costs O(rows log rows), not time or memory in proportion to object area.
-Candidates with equal signatures are merged and dominated ones dropped.
+Only locally maximal runs are recorded, those an addition starts and a
+removal ends: any other run's signature is a strict subset of a
+neighbouring run's, so dropping it keeps the maximal signatures and their
+smallest points.  Candidates with equal signatures are merged and
+dominated ones dropped.  Before the sweep, a point in every object is
+looked for; the intersection of the objects' integer corners, in plain
+ints, rules one out at once when it is empty.
 
 The exact solver then applies the classic set-cover data reductions
 (Weihe, "Covering trains by stations or the power of data reduction",
@@ -22,11 +28,12 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, islice
+from operator import gt, le
 from typing import Iterable, Iterator
 
 from gridhit import geometry
 from gridhit.errors import EmptyObjectError
-from gridhit.geometry import FatObject, Point
+from gridhit.geometry import Ball, FatObject, Point
 
 _FULL_COVER_SCAN_LIMIT = 4096
 
@@ -59,36 +66,59 @@ class HittingSetResult:
         return len(self.points)
 
 
-def _find_full_cover(objects, smallest) -> Point | None:
-    """Scan the smallest object for a point contained in every object.
+def _find_full_cover(objects) -> Point | None:
+    """The lexicographically smallest point contained in every object, or
+    None when there is none or the scan below gives up.
 
     A point hitting everything dominates every other candidate, so the
     reduction may stop immediately; this is what keeps nested-game
     instances cheap even when the first object covers most of the grid.
-    The scan walks the object's rows lazily and gives up after
-    ``_FULL_COVER_SCAN_LIMIT`` points, whatever the object's size.
+    Every common grid point lies in the intersection of the objects'
+    ``int_corners``, so when that box is empty there is none, and the
+    answer costs one pass over the stored corners.  Otherwise the rows of
+    the smallest object (by ``out_width``) are scanned lazily, in
+    lexicographic order, for at most ``_FULL_COVER_SCAN_LIMIT`` points,
+    whatever the object's size.  A point inside the intersection box
+    lies in every cube and box, so only the balls need ``contains``.
     """
-    rows = geometry.grid_rows(smallest)
+    corners = list(map(geometry.int_corners, objects))
+    if None in corners:
+        return None
+    lows, highs = zip(*corners)
+    lo = [max(axis) for axis in zip(*lows)]
+    hi = [min(axis) for axis in zip(*highs)]
+    if any(map(gt, lo, hi)):
+        return None
+    balls = [o for o in objects if isinstance(o, Ball)]
+    rows = geometry.grid_rows(min(objects, key=geometry.out_width))
     points = (prefix + (x,) for prefix, a, b in rows for x in range(a, b + 1))
     for p in islice(points, _FULL_COVER_SCAN_LIMIT):
-        if all(geometry.contains(o, p) for o in objects):
+        if (all(map(le, lo, p)) and all(map(le, p, hi))
+                and all(geometry.contains(o, p) for o in balls)):
             return p
     return None
 
 
 def reduce_instance(objects: list[FatObject]) -> ReducedInstance:
-    """Build the candidate/signature form of a raw object list."""
+    """Build the candidate/signature form of a raw object list.
+
+    Raises ``EmptyObjectError`` naming the first object with no grid
+    point.  A point common to all objects is the one candidate; otherwise
+    the row sweep gives the signatures of the locally maximal runs, and
+    the dominance pass keeps the maximal ones.
+    """
     m = len(objects)
     if m == 0:
         return ReducedInstance([], [], [], 0)
-    for i, o in enumerate(objects):
-        if not geometry.has_grid_point(o):
-            raise EmptyObjectError(f"object {i} contains no grid point")
     full = (1 << m) - 1
 
-    cover_all = _find_full_cover(objects, min(objects, key=geometry.out_width))
+    # A point in every object also shows that none is empty.
+    cover_all = _find_full_cover(objects)
     if cover_all is not None:
         return ReducedInstance(list(objects), [cover_all], [full], full)
+    for i, o in enumerate(objects):
+        if next(geometry.grid_rows(o), None) is None:
+            raise EmptyObjectError(f"object {i} contains no grid point")
 
     # Sweep: along each row prefix the signature changes only where some
     # object's interval starts (+bit at a) or ends (-bit at b + 1).
@@ -100,18 +130,24 @@ def reduce_instance(objects: list[FatObject]) -> ReducedInstance:
             row.append((a, bit))
             row.append((b + 1, -bit))
 
-    # Prefixes in lexicographic order and x increasing, so the first point
-    # recorded for a signature is its smallest point.
+    # A run is recorded only if an addition starts it and a removal ends
+    # it; removals sort first at one x.  Any other run's signature is a
+    # strict subset of a neighbouring run's, so dominance would drop it,
+    # wherever else it occurs.  Prefixes come in lexicographic order and x
+    # increasing, so the first point recorded for a signature is its
+    # smallest point.
     best: dict[int, Point] = {}
     for prefix in sorted(events):
-        row = sorted(events[prefix])
         sig = 0
-        for k, (x, delta) in enumerate(row, 1):
+        start = None
+        for x, delta in sorted(events[prefix]):
+            if delta > 0:
+                start = x
+            elif start is not None:
+                if sig not in best:
+                    best[sig] = prefix + (start,)
+                start = None
             sig += delta
-            if k < len(row) and row[k][0] == x:
-                continue  # apply every event at x before reading
-            if sig and sig not in best:
-                best[sig] = prefix + (x,)
 
     # Dominance: drop signatures that are strict subsets of a kept one.  A
     # kept superset holds the signature's first object, so only the kept

@@ -9,7 +9,7 @@ from operator import or_
 
 import pytest
 
-from gridhit import geometry as G
+from gridhit import geometry as G, oracle
 from gridhit.errors import EmptyObjectError
 from gridhit.exactnum import sqrt_exact
 from gridhit.geometry import Ball, Box, Cube
@@ -166,6 +166,19 @@ class TestReduce:
         with pytest.raises(EmptyObjectError):
             reduce_instance([Cube((0, 0), 1)])
 
+    def test_first_empty_object_is_named(self):
+        # The ball's integer corners span 1..2 on both axes, but all four
+        # of those points lie sqrt(1/2) > 7/10 from its center.
+        objects = [Cube((0, 0), 4), Ball((F(3, 2), F(3, 2)), F(7, 10)),
+                   Cube((0, 0), 1)]
+        assert G.int_corners(objects[1]) == ((1, 1), (2, 2))
+        with pytest.raises(EmptyObjectError, match=r"^object 1 "):
+            reduce_instance(objects)
+        # Without the third cube the corners overlap, and the full-cover
+        # scan of the ball finds no point.
+        with pytest.raises(EmptyObjectError, match=r"^object 1 "):
+            reduce_instance(objects[:2])
+
     def test_empty_list(self):
         red = reduce_instance([])
         assert red.candidates == [] and red.full_mask == 0
@@ -213,6 +226,52 @@ class TestSweep:
         for objects in small_instances(30, seed=21):
             assert_sweep_matches_points(objects)
 
+    def test_disjoint_corners_need_no_exact_scalars(self, monkeypatch):
+        # A dense pool instance: the objects' integer corners share no
+        # point, so the full-cover search stops on ints, and the sweep
+        # reads ball rows from isqrt alone.
+        objects = gen_random(2, 44, SQRT2, count=80, seed=0, min_width=6,
+                             max_width=16).objects
+        lows, highs = zip(*map(G.int_corners, objects))
+        assert any(max(lo) > min(hi) for lo, hi in zip(zip(*lows), zip(*highs)))
+        expected = reduce_by_points(objects)
+
+        def refuse(*args):
+            raise AssertionError("exact scalar predicate called")
+
+        for name in ("contains", "out_width", "has_grid_point"):
+            monkeypatch.setattr(G, name, refuse)
+        red = reduce_instance(objects)
+        assert (red.candidates, red.signatures, red.full_mask) == expected
+
+
+def common_point_instances(d):
+    """Object lists sharing a grid point: nested cube chains, a ball
+    inside a box, irrational balls."""
+    third = F(1, 3)
+    yield [Cube((k + third,) * d, 16 - 2 * k) for k in (0, 2, 4, 6)]
+    yield [Cube((0,) * d, 2), Cube((0,) * d, 3), Cube((F(1, 2),) * d, 9)]
+    yield [Box((0,) * d, (12,) + (10,) * (d - 1)), Ball((F(11, 2),) * d, F(5, 2))]
+    yield [Ball((5 + SQRT2 / 3,) + (5,) * (d - 1), 3),
+           Ball((6,) * d, F(7, 2)), Ball((5 + SQRT2 / 7,) * d, 2),
+           Cube((F(7, 2),) * d, 3)]
+
+
+class TestFullCover:
+    """The full-cover shortcut gives what the sweep would."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_shortcut_matches_sweep(self, d, monkeypatch):
+        for objects in common_point_instances(d):
+            red = reduce_instance(objects)
+            assert red.signatures == [red.full_mask], objects
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_find_full_cover", lambda objects: None)
+                swept = reduce_instance(objects)
+            assert (swept.candidates, swept.signatures, swept.full_mask) == \
+                (red.candidates, red.signatures, red.full_mask), objects
+            assert_sweep_matches_points(objects)
+
 
 class TestLargeObjects:
     """Reduction cost grows with rows, not with area."""
@@ -233,6 +292,15 @@ class TestLargeObjects:
         red = reduce_instance([Cube((0, 0), 1 << 20)])
         assert time.perf_counter() - t0 < 1.0
         assert red.candidates == [(1, 1)] and red.signatures == [1]
+
+    def test_ball_inside_huge_cube(self):
+        # The intersection box is the ball's; its first points miss the
+        # ball, so the scan must walk the ball's rows, not the box.
+        t0 = time.perf_counter()
+        red = reduce_instance([Cube((0, 0, 0), 1 << 40),
+                               Ball((1 << 39,) * 3, 1 << 38)])
+        assert time.perf_counter() - t0 < 1.0
+        assert len(red.candidates) == 1 and red.signatures == [3]
 
 
 class TestExact:
