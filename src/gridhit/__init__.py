@@ -38,7 +38,6 @@ from gridhit.geometry import (
     FatObject,
     GridSpec,
     contains,
-    count_grid_points,
     dilate,
     grid_points_in,
     in_width,

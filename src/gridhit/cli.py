@@ -41,8 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--transcript", default=None,
                        help="write a JSONL transcript of every step")
     p_run.add_argument("--format", choices=("json", "csv"), default="json")
-    p_run.add_argument("--budget", type=int, default=2_000_000,
-                       help="node budget for the exact offline solver")
 
     p_adv = sub.add_parser("adversary", help="play the forcing game")
     p_adv.add_argument("--d", type=int, default=2)
@@ -96,8 +94,7 @@ def _emit_report(report, fmt: str) -> None:
 
 def _cmd_run(args) -> int:
     inst = formats.read_instance(args.instance)
-    report = harness.run_online(inst, transcript_path=args.transcript,
-                                oracle_budget=args.budget)
+    report = harness.run_online(inst, transcript_path=args.transcript)
     _emit_report(report, args.format)
     if report.opt_exact and report.within_bound is False:
         return 1

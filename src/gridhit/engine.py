@@ -69,7 +69,6 @@ class EngineState:
         self.chosen: list[Point] = []
         self._chosen_set: set[Point] = set()
         self.unhit: dict[int, list[FatObject]] = {}
-        self.steps = 0
         self.already_hit_count = 0
 
     # -- hit detection -------------------------------------------------------
@@ -82,7 +81,6 @@ class EngineState:
     def process(self, o: FatObject) -> Decision:
         geometry.validate_in_grid(o, self.grid)
         geometry.validate_fatness(o, self.fatness_sq)
-        self.steps += 1
 
         if self.is_hit(o):
             self.already_hit_count += 1
@@ -167,23 +165,21 @@ def check_ratio_bound(grid: GridSpec, fatness: Scalar,
     """Compare alg_size/opt_size with (4*fatness+1)**(2d) * log2(N),
     exactly for every N.
 
-    For N a power of two the log is an integer.  Otherwise log2(N) is
+    Brackets [lo, hi) of log2(N) are halved until factor * (lo, hi)
+    excludes the ratio; it is then within the bound iff
+    ratio <= factor * lo.  For N = 2**k every bracket is [k, k + 2**-t),
+    so the verdict is ratio <= factor * k.  Otherwise log2(N) is
     transcendental (Gelfond-Schneider), so it never equals the ratio
-    over the factor, an element of Q(sqrt(s)); brackets of log2(N) are
-    halved until one of them excludes that quotient.
+    over the factor, an element of Q(sqrt(s)), and some bracket
+    excludes that quotient.
     """
     if opt_size < 1:
         raise ValueError(f"opt_size must be >= 1, got {opt_size}")
     ratio = Fraction(alg_size, opt_size)
     factor, bound = ratio_bound(grid, fatness)
-    n = grid.N
-    if n & (n - 1) == 0:
-        within = ratio <= factor * (n.bit_length() - 1)
-    else:
-        t = 0
-        lo, hi = _log2_bracket(n, t)
-        while factor * lo < ratio < factor * hi:
-            t += 1
-            lo, hi = _log2_bracket(n, t)
-        within = ratio <= factor * lo
-    return RatioReport(ratio, bound, within)
+    t = 0
+    lo, hi = _log2_bracket(grid.N, t)
+    while factor * lo < ratio < factor * hi:
+        t += 1
+        lo, hi = _log2_bracket(grid.N, t)
+    return RatioReport(ratio, bound, ratio <= factor * lo)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, repeat
-from math import ceil, floor, isqrt, lcm, prod
+from math import ceil, floor, isqrt, lcm
 from operator import le
 from typing import Iterator, Optional, Union
 
@@ -240,7 +240,7 @@ def validate_in_grid(o: FatObject, grid: GridSpec) -> None:
 # Every enumeration below consumes one primitive, ``_rows``: the object's
 # points on a stride lattice, grouped into runs along the last axis;
 # ``grid_rows`` is its public stride-1 form.  A box, being a product set,
-# is counted, tested for a point and levelled from its corners alone, and
+# is tested for a point and levelled from its corners alone, and
 # ``grid_points_among`` tests given points against the corners first.
 
 def int_corners(o: FatObject) -> tuple[Point, Point] | None:
@@ -408,15 +408,6 @@ def grid_points_in(o: FatObject) -> list[Point]:
     for prefix, a, b in grid_rows(o):
         out.extend(zip(*map(repeat, prefix), range(a, b + 1)))
     return out
-
-
-def count_grid_points(o: FatObject) -> int:
-    if isinstance(o, (Cube, Box)):
-        corners = int_corners(o)
-        if corners is None:
-            return 0
-        return prod(b - a + 1 for a, b in zip(*corners))
-    return sum(b - a + 1 for _, a, b in grid_rows(o))
 
 
 def find_grid_point(o: FatObject) -> Optional[Point]:

@@ -84,8 +84,7 @@ class Report:
 
 # -- online runs --------------------------------------------------------------
 
-def run_online(inst: InstanceFile, transcript_path=None,
-               oracle_budget: int = 2_000_000) -> Report:
+def run_online(inst: InstanceFile, transcript_path=None) -> Report:
     """Feed the instance to a fresh engine and certify the optimum."""
     eng = EngineState(inst.grid, inst.fatness)
     lines = []
@@ -109,7 +108,7 @@ def run_online(inst: InstanceFile, transcript_path=None,
     _, bound = engine.ratio_bound(inst.grid, inst.fatness)
     if inst.objects:
         reduced = oracle.reduce_instance(inst.objects)
-        result = oracle.exact_min_hitting_set(reduced, budget=oracle_budget)
+        result = oracle.exact_min_hitting_set(reduced)
         opt_size = result.size
         opt_exact = result.exact
         rr = eng.ratio_report(opt_size)
@@ -257,10 +256,14 @@ def gen_random(d: int, N: int, fatness: Scalar, shapes=("ball", "cube", "box"),
     if min_width < 1 or max_width < min_width:
         raise InstanceFormatError(
             f"bad width range [{min_width}, {max_width}]")
-
-    rng = random.Random(seed)
     lo8 = ceil(min_width * 8)
     hi8 = floor(max_width * 8)
+    if lo8 > hi8:
+        raise InstanceFormatError(
+            f"width range [{min_width}, {max_width}] holds no multiple of "
+            "1/8: widths are drawn on a 1/8 grid")
+
+    rng = random.Random(seed)
     buckets = max(1, (hi8 // lo8).bit_length())
 
     # Boxes need a rational cap on the per-axis width ratio below fatness.
@@ -461,19 +464,17 @@ def verify_level_width(N: int = 64, count: int = 10_000, seed: int = 1405,
     return res
 
 
-def verify_level_count(N: int = 64,
-                       fatness_values=(Fraction(1), SQRT2)) -> SuiteResult:
-    """Exhaustive d=2 scan: every integer-cornered cube of the critical
-    width holds at most floor((4*fatness+1)**2) points of the given level;
-    counts come from the engine's ``points_of_level`` and are re-counted
-    naively."""
+def verify_level_count(N: int = 64) -> SuiteResult:
+    """Exhaustive d=2 scan for fatness 1 and sqrt(2): every
+    integer-cornered cube of the critical width holds at most
+    floor((4*fatness+1)**2) points of the given level; counts come from
+    the engine's ``points_of_level`` and are re-counted naively."""
     res = SuiteResult("levelcount", True, 0)
     grid = GridSpec(2, N)
     coord_level = [0] * N
     for i in range(1, N):
         coord_level[i] = _naive_int_level(i)
-    for fat in fatness_values:
-        fat = as_scalar(fat)
+    for fat in (Fraction(1), SQRT2):
         cap = floor((4 * fat + 1) ** 2)
         for level in range(grid.level_bound + 1):
             width = floor(fat * (1 << (level + 2)))
@@ -556,7 +557,7 @@ def verify_ratio(count: int = 200, seed: int = 715) -> SuiteResult:
         fat, shapes = _fatness_cycle(i)
         inst = gen_random(2, _RATIO_NS[i % len(_RATIO_NS)], fat, shapes,
                           4 + i % 27, seed + i)
-        report = run_online(inst, oracle_budget=5_000_000)
+        report = run_online(inst)
         res.checked += 1
         if not report.opt_exact:
             res.record({"instance": i, "problem": "oracle budget exceeded"})

@@ -56,14 +56,19 @@ class ReducedInstance:
 
 @dataclass
 class HittingSetResult:
+    """A hitting set and a proven lower bound on the optimum; the set is
+    an optimum exactly when the bound meets its size."""
+
     points: tuple[Point, ...]
-    exact: bool
     lower_bound: int
-    upper_bound: int
 
     @property
     def size(self) -> int:
         return len(self.points)
+
+    @property
+    def exact(self) -> bool:
+        return self.lower_bound == self.size
 
 
 def _find_full_cover(objects) -> Point | None:
@@ -221,13 +226,12 @@ def greedy_hitting_set(inst: ReducedInstance) -> HittingSetResult:
     """Repeatedly take the candidate hitting the most unhit objects."""
     m = len(inst.objects)
     if m == 0:
-        return HittingSetResult((), True, 0, 0)
+        return HittingSetResult((), 0)
     chosen = _greedy(inst.signatures, inst.full_mask)
     cands = _candidate_masks(inst.signatures, m)
     lb = _disjoint_lower_bound(
         sorted(range(m), key=lambda i: (cands[i].bit_count(), i)), cands)
-    return HittingSetResult(tuple(inst.candidates[i] for i in chosen),
-                            len(chosen) == lb, lb, len(chosen))
+    return HittingSetResult(tuple(inst.candidates[i] for i in chosen), lb)
 
 
 def _reduce(sigs: list[int], cands: list[int]) -> tuple[list[int], int]:
@@ -367,7 +371,7 @@ def exact_min_hitting_set(inst: ReducedInstance,
     """
     m = len(inst.objects)
     if m == 0:
-        return HittingSetResult((), True, 0, 0)
+        return HittingSetResult((), 0)
     sigs = list(inst.signatures)
     cands = _candidate_masks(sigs, m)
     if not all(cands):
@@ -381,7 +385,7 @@ def exact_min_hitting_set(inst: ReducedInstance,
         lower += lb
         budget -= nodes
     points = tuple(sorted(inst.candidates[idx] for idx in chosen))
-    return HittingSetResult(points, lower == len(points), lower, len(points))
+    return HittingSetResult(points, lower)
 
 
 def exhaustive_min_hitting_set(inst: ReducedInstance) -> HittingSetResult:
@@ -392,7 +396,7 @@ def exhaustive_min_hitting_set(inst: ReducedInstance) -> HittingSetResult:
     """
     m = len(inst.objects)
     if m == 0:
-        return HittingSetResult((), True, 0, 0)
+        return HittingSetResult((), 0)
     k = len(inst.candidates)
     for size in range(1, k + 1):
         for combo in combinations(range(k), size):
@@ -401,7 +405,7 @@ def exhaustive_min_hitting_set(inst: ReducedInstance) -> HittingSetResult:
                 mask |= inst.signatures[idx]
             if mask == inst.full_mask:
                 pts = tuple(inst.candidates[i] for i in combo)
-                return HittingSetResult(pts, True, size, size)
+                return HittingSetResult(pts, size)
     raise EmptyObjectError("instance is infeasible")
 
 

@@ -139,7 +139,7 @@ def test_criterion_3_cube_count_exhaustive():
     start = time.perf_counter()
     assert floor((4 * F(1) + 1) ** 2) == 25
     assert floor((4 * SQRT2 + 1) ** 2) == 44
-    res = harness.verify_level_count(N=64, fatness_values=(F(1), SQRT2))
+    res = harness.verify_level_count(N=64)
     # The known dense window: 27 level-1 points inside a width-10.2 cube,
     # comfortably under the sqrt(2) cap of 44.
     dense = G.points_of_level(Cube((F(19, 10), F(19, 10)), F(51, 5)), 1)

@@ -72,7 +72,7 @@ class TestConstruction:
     def test_fresh_engine_is_empty(self):
         eng = EngineState(GRID16, SQRT2)
         assert eng.chosen == []
-        assert eng.steps == 0
+        assert eng.unhit == {} and eng.already_hit_count == 0
 
     def test_one_dimensional_engine(self):
         eng = EngineState(GridSpec(1, 4), 1)
@@ -172,9 +172,8 @@ class TestRunInvariants:
         for inst in fuzz_instances(5):
             eng = EngineState(inst.grid, inst.fatness)
             process_all(eng, inst.objects)
-            assert eng.steps == len(inst.objects)
             filed = sum(len(same) for same in eng.unhit.values())
-            assert filed + eng.already_hit_count == eng.steps
+            assert filed + eng.already_hit_count == len(inst.objects)
 
     def test_large_grid_in_bounded_time(self):
         """N = 16384: the check costs nothing per point, so 30 objects of
@@ -186,7 +185,8 @@ class TestRunInvariants:
         for o in inst.objects:
             eng.process(o)
         assert time.perf_counter() - start < 1.0
-        assert eng.steps == 30
+        filed = sum(len(same) for same in eng.unhit.values())
+        assert filed + eng.already_hit_count == len(inst.objects) == 30
 
     def test_long_run_in_bounded_time(self):
         """3000 objects: each hit test compares plain ints against the
@@ -198,7 +198,8 @@ class TestRunInvariants:
         for o in inst.objects:
             eng.process(o)
         assert time.perf_counter() - start < 3.0
-        assert eng.steps == 3000
+        filed = sum(len(same) for same in eng.unhit.values())
+        assert filed + eng.already_hit_count == len(inst.objects) == 3000
 
 
 class TestRatioReport:
@@ -252,8 +253,9 @@ class TestRatioReport:
 
     def test_rational_verdicts_match_integer_powers(self):
         """At d = 2 and fatness 1 (factor 5**4), ratio a/b is within the
-        bound iff a/(625 b) <= log2 N, i.e. 2**a <= N**(625 b)."""
-        for N in (3, 5, 6, 7, 12, 17, 40, 47, 100):
+        bound iff a/(625 b) <= log2 N, i.e. 2**a <= N**(625 b).  For N a
+        power of two, a = 625 b log2 N meets the bound exactly."""
+        for N in (2, 3, 5, 6, 7, 12, 16, 17, 40, 47, 100, 1024, 2 ** 512):
             for b in range(1, 6):
                 centre = int(625 * b * math.log2(N))
                 for a in range(centre - 3, centre + 4):

@@ -197,7 +197,6 @@ class TestCoercion:
             lambda: harness.gen_random(2, 16, 1.5, ("cube",), 2, seed=1),
             lambda: harness.gen_random(2, 16, 1, ("cube",), 2, seed=1,
                                        min_width=1.1),
-            lambda: harness.verify_level_count(N=16, fatness_values=(1.5,)),
             lambda: harness.run_adversary(2, 16, "box", aspect=(1, 1.5)),
         ]
         for entry in entries:

@@ -150,6 +150,14 @@ class TestGenRandom:
         with pytest.raises(InstanceFormatError, match="exceeds the grid"):
             harness.gen_random(2, 16, F(1), ("cube",), 3, seed=0, max_width=20)
 
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_width_range_off_the_eighth_grid_rejected(self, count):
+        # Widths are drawn as multiples of 1/8; [17/16, 17/16] holds none.
+        with pytest.raises(InstanceFormatError,
+                           match=r"\[17/16, 17/16\] holds no multiple of 1/8"):
+            harness.gen_random(2, 16, 1, ("cube",), count, seed=1,
+                               min_width=F(17, 16), max_width=F(17, 16))
+
     def test_balls_need_enough_fatness(self):
         with pytest.raises(InstanceFormatError, match="balls"):
             harness.gen_random(2, 16, F(5, 4), ("ball",), 3, seed=0)
@@ -346,6 +354,17 @@ class TestCli:
         assert code == 0
         assert out == f"wrote 5 objects to {inst}\n"
         assert len(read_instance(inst).objects) == 5
+
+    def test_gen_off_grid_width_range_exits_two(self, tmp_path, capsys):
+        inst = tmp_path / "i.jsonl"
+        code, _ = self.run_cli("gen", "--d", "2", "--N", "16", "--count", "2",
+                               "--min-width", "17/16", "--max-width", "17/16",
+                               "--out", str(inst))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: width range [17/16, 17/16] holds no multiple of 1/8: "
+            "widths are drawn on a 1/8 grid\n")
+        assert not inst.exists()
 
     def test_run_csv_format(self, tmp_path):
         inst = tmp_path / "i.jsonl"
