@@ -121,19 +121,20 @@ def reduce_instance(objects: list[FatObject]) -> ReducedInstance:
     cover_all = _find_full_cover(objects)
     if cover_all is not None:
         return ReducedInstance(list(objects), [cover_all], [full], full)
-    for i, o in enumerate(objects):
-        if next(geometry.grid_rows(o), None) is None:
-            raise EmptyObjectError(f"object {i} contains no grid point")
 
     # Sweep: along each row prefix the signature changes only where some
-    # object's interval starts (+bit at a) or ends (-bit at b + 1).
+    # object's interval starts (+bit at a) or ends (-bit at b + 1).  An
+    # object that yields no row is empty.
     events: dict[Point, list[tuple[int, int]]] = defaultdict(list)
     for i, o in enumerate(objects):
         bit = 1 << i
+        prefix = None
         for prefix, a, b in geometry.grid_rows(o):
             row = events[prefix]
             row.append((a, bit))
             row.append((b + 1, -bit))
+        if prefix is None:
+            raise EmptyObjectError(f"object {i} contains no grid point")
 
     # A run is recorded only if an addition starts it and a removal ends
     # it; removals sort first at one x.  Any other run's signature is a

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -264,9 +265,14 @@ class TestRunAdversary:
 
 class TestVerifySuites:
     def test_levelwidth_passes(self):
-        res = harness.verify_level_width(cross_check=40)
+        # Every level is cross-checked; an oracle whose cost follows the
+        # objects' area would take about 30 s here.
+        t0 = time.perf_counter()
+        res = harness.verify_level_width()
+        elapsed = time.perf_counter() - t0
         assert res.passed, res.violations
         assert res.checked == 10_000
+        assert elapsed < 15, f"levelwidth suite took {elapsed:.1f} s"
 
     def test_levelcount_passes(self):
         res = harness.verify_level_count(N=32)
@@ -294,9 +300,21 @@ class TestVerifySuites:
         real = G.object_level
         monkeypatch.setattr(G, "object_level",
                             lambda o: max(0, real(o) - 1))
-        res = harness.verify_level_width(count=300, cross_check=60)
+        res = harness.verify_level_width(count=300)
         assert not res.passed
         assert res.violations
+
+    def test_level_of_large_objects_is_cross_checked(self, monkeypatch):
+        # Mutation check: raise the level only on objects with more than
+        # 30 000 candidate points.  The width bounds still hold, so only
+        # the naive level oracle can object.
+        real = G.object_level
+        monkeypatch.setattr(G, "object_level", lambda o: real(o) + (
+            math.prod(map(len, harness._naive_ranges(o))) > 30_000))
+        res = harness.verify_level_width(count=300)
+        assert not res.passed
+        assert {v["problem"] for v in res.violations} == {
+            "level disagrees with the naive enumeration"}
 
     def test_unaligned_equality_is_caught(self, monkeypatch):
         # Shift every inscribed cube off the dyadic grid, keeping its width:
@@ -304,7 +322,7 @@ class TestVerifySuites:
         real = G.inscribed_cube
         monkeypatch.setattr(G, "inscribed_cube", lambda o: Cube(
             tuple(c + Fraction(1, 3) for c in real(o).corner), real(o).width))
-        res = harness.verify_level_width(count=600, cross_check=0)
+        res = harness.verify_level_width(count=600)
         assert not res.passed
         assert {v["problem"] for v in res.violations} == {
             "in_width == 2**(level+1) without dyadic alignment"}

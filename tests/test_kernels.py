@@ -58,7 +58,9 @@ def case_points(case):
     d, cnum, den, rnum, offsets = case
     if offsets is None:
         return naive_ball_points(cnum, den, rnum)
-    return list(harness._naive_interior(case_ball(case)))
+    ball = case_ball(case)
+    return [p for p in product(*harness._naive_ranges(ball))
+            if harness._naive_contains(ball, p)]
 
 
 def _ball_cases(span, offsets):
