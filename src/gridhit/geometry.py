@@ -240,7 +240,8 @@ def validate_in_grid(o: FatObject, grid: GridSpec) -> None:
 # Every enumeration below consumes one primitive, ``_rows``: the object's
 # points on a stride lattice, grouped into runs along the last axis;
 # ``grid_rows`` is its public stride-1 form.  A box, being a product set,
-# is tested for a point and levelled from its corners alone, and
+# is tested for a point and levelled from its corners alone,
+# ``find_grid_point`` tests the points around the center, and
 # ``grid_points_among`` tests given points against the corners first.
 
 def int_corners(o: FatObject) -> tuple[Point, Point] | None:
@@ -327,13 +328,14 @@ def _lattice(axes) -> Iterator[Point]:
             yield prefix + (x,)
 
 
-def _rows(o: FatObject, stride: int) -> Iterator[Row]:
+def _rows(o: FatObject, stride: int, box=None) -> Iterator[Row]:
     """The object's integer points whose coordinates are all multiples of
     ``stride``, as rows ``(prefix, a, b)`` in lexicographic order: the
     points with first d-1 coordinates ``prefix`` are exactly
     ``prefix + (x,)`` for the multiples x of stride in [a, b], and a is
-    one of them.  The rows lie within ``int_corners(o)``; there are none
-    when it is None.
+    one of them.  The rows lie within ``int_corners(o)``, and within the
+    inclusive integer corners ``box = (lo, hi)`` when given; there are
+    none when it is None.
 
     A box row is its last-axis range.  A ball row comes from an ``isqrt``
     of the squared radius left over by the prefix, for rational and
@@ -344,6 +346,8 @@ def _rows(o: FatObject, stride: int) -> Iterator[Row]:
     if corners is None:
         return iter(())
     lo, hi = corners
+    if box is not None:
+        lo, hi = tuple(map(max, lo, box[0])), tuple(map(min, hi, box[1]))
     if isinstance(o, Ball):
         cnum, den, rr = _ball_int_args(o)
         return _ball_rows(lo, hi, stride, cnum, den, rr, ())
@@ -388,14 +392,17 @@ def _ball_rows(lo, hi, stride, cnum, den, rem, prefix) -> Iterator[Row]:
                               prefix + (x,))
 
 
-def grid_rows(o: FatObject) -> Iterator[Row]:
+def grid_rows(o: FatObject, box=None) -> Iterator[Row]:
     """The object's integer points as rows ``(prefix, a, b)`` in
     lexicographic order: the points with first d-1 coordinates ``prefix``
     are exactly ``prefix + (x,)`` for a <= x <= b.  Coordinates are >= 1,
     as in ``grid_points_in``.  Lazy, so a caller that stops early pays
     only for the rows it read.
+
+    ``box = (lo, hi)``, inclusive integer corners, keeps only the points
+    inside it; a box pinned to one prefix gives that row in O(d).
     """
-    return _rows(o, 1)
+    return _rows(o, 1, box)
 
 
 def grid_points_in(o: FatObject) -> list[Point]:
@@ -411,19 +418,21 @@ def grid_points_in(o: FatObject) -> list[Point]:
 
 
 def find_grid_point(o: FatObject) -> Optional[Point]:
-    """One integer point inside the object, or None if it has none.
+    """One integer point (coordinates >= 1) inside the object, or None if
+    it has none: the first, in lexicographic order, of the 2**d points
+    around the object's center, each coordinate clamped to >= 1.
 
-    The 2**d integer points around the center of the enclosing cube come
-    first, in lexicographic order (an immediate hit for any large object);
-    otherwise the lexicographically first point inside.
+    These include the integer point >= 1 nearest the center on every
+    axis.  A ball's squared distance to its center is a sum over the
+    axes, and a cube or box is an interval centered there on each axis,
+    so the object holds that point whenever it holds any integer point
+    >= 1.
     """
     ec = enclosing_cube(o)
     mids = [floor(c + ec.width / 2) for c in ec.corner]
-    for p in product(*((m, m + 1) for m in mids)):
-        if min(p) >= 1 and contains(o, p):
+    for p in product(*((max(1, m), max(1, m + 1)) for m in mids)):
+        if contains(o, p):
             return p
-    for prefix, a, _ in grid_rows(o):
-        return prefix + (a,)
     return None
 
 

@@ -9,9 +9,10 @@ Only locally maximal runs are recorded, those an addition starts and a
 removal ends: any other run's signature is a strict subset of a
 neighbouring run's, so dropping it keeps the maximal signatures and their
 smallest points.  Candidates with equal signatures are merged and
-dominated ones dropped.  Before the sweep, a point in every object is
-looked for; the intersection of the objects' integer corners, in plain
-ints, rules one out at once when it is empty.
+dominated ones dropped.  Before the sweep, the smallest point in every
+object is found exactly.  The intersection of the objects' integer
+corners, in plain ints, rules one out at once when it is empty; else the
+balls' rows inside it are cut to one another, one prefix at a time.
 
 The exact solver then applies the classic set-cover data reductions
 (Weihe, "Covering trains by stations or the power of data reduction",
@@ -27,15 +28,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations, islice
-from operator import gt, le
+from itertools import combinations
+from operator import gt
 from typing import Iterable, Iterator
 
 from gridhit import geometry
 from gridhit.errors import EmptyObjectError
 from gridhit.geometry import Ball, FatObject, Point
-
-_FULL_COVER_SCAN_LIMIT = 4096
 
 
 @dataclass
@@ -73,34 +72,41 @@ class HittingSetResult:
 
 def _find_full_cover(objects) -> Point | None:
     """The lexicographically smallest point contained in every object, or
-    None when there is none or the scan below gives up.
+    None when there is none.
 
     A point hitting everything dominates every other candidate, so the
     reduction may stop immediately; this is what keeps nested-game
     instances cheap even when the first object covers most of the grid.
     Every common grid point lies in the intersection of the objects'
     ``int_corners``, so when that box is empty there is none, and the
-    answer costs one pass over the stored corners.  Otherwise the rows of
-    the smallest object (by ``out_width``) are scanned lazily, in
-    lexicographic order, for at most ``_FULL_COVER_SCAN_LIMIT`` points,
-    whatever the object's size.  A point inside the intersection box
-    lies in every cube and box, so only the balls need ``contains``.
+    answer costs one pass over the stored corners.  The box is exactly
+    the cubes' and boxes' common points, so without balls its low corner
+    is the answer.  Otherwise the smallest ball's rows inside the box are
+    walked in order, each cut to every ball's row on its prefix (one
+    interval); the first row left nonempty starts at the answer.  The
+    cost grows with the prefixes walked, not with the area.
     """
     corners = list(map(geometry.int_corners, objects))
     if None in corners:
         return None
     lows, highs = zip(*corners)
-    lo = [max(axis) for axis in zip(*lows)]
-    hi = [min(axis) for axis in zip(*highs)]
+    lo = tuple(max(axis) for axis in zip(*lows))
+    hi = tuple(min(axis) for axis in zip(*highs))
     if any(map(gt, lo, hi)):
         return None
     balls = [o for o in objects if isinstance(o, Ball)]
-    rows = geometry.grid_rows(min(objects, key=geometry.out_width))
-    points = (prefix + (x,) for prefix, a, b in rows for x in range(a, b + 1))
-    for p in islice(points, _FULL_COVER_SCAN_LIMIT):
-        if (all(map(le, lo, p)) and all(map(le, p, hi))
-                and all(geometry.contains(o, p) for o in balls)):
-            return p
+    if not balls:
+        return lo
+    walk = geometry.grid_rows(min(balls, key=geometry.out_width), (lo, hi))
+    for prefix, a, b in walk:
+        for o in balls:
+            row = next(geometry.grid_rows(o, (prefix + (a,), prefix + (b,))),
+                       None)
+            if row is None:
+                break
+            _, a, b = row
+        else:
+            return prefix + (a,)
     return None
 
 

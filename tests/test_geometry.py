@@ -17,6 +17,7 @@ from gridhit import geometry as G
 from gridhit.errors import EmptyObjectError, FatnessViolation, GridBoundsError
 from gridhit.exactnum import is_rational, sqrt_exact
 from gridhit.geometry import Ball, Box, Cube, GridSpec
+from gridhit.harness import _naive_contains, _naive_ranges
 
 F = Fraction
 
@@ -324,6 +325,57 @@ class TestGridPointsAmong:
     def test_lazy(self):
         points = iter([(2, 2), "never read"])
         assert next(G.grid_points_among(Cube((0, 0), 4), points)) == (2, 2)
+
+
+def objects_near_the_origin(seed, count):
+    """Seeded cubes, boxes and balls, rational or with a sqrt(2) in the
+    center, in d = 1..3; corners from -10 up, so some centers lie below
+    1 on some axis, and widths from 1/4 up, so some objects are empty."""
+    import random
+    rng = random.Random(seed)
+    for i in range(count):
+        d = 1 + i % 3
+        corner = tuple(F(rng.randrange(-40, 40), 4) for _ in range(d))
+        w = F(rng.randrange(1, 24), 4)
+        kind = rng.choice(["cube", "box", "ball", "sqrt_ball"])
+        if kind == "cube":
+            yield Cube(corner, w)
+        elif kind == "box":
+            yield Box(corner, tuple(F(rng.randrange(1, 24), 4) for _ in range(d)))
+        else:
+            shift = sqrt_exact(2) / 7 if kind == "sqrt_ball" else 0
+            yield Ball(tuple(c + w + shift for c in corner), w)
+
+
+class TestFindGridPoint:
+    """The points around the center decide existence without any row."""
+
+    @pytest.fixture(autouse=True)
+    def no_rows(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("grid_rows called")
+
+        monkeypatch.setattr(G, "grid_rows", refuse)
+
+    def test_matches_naive_filter(self):
+        objects = [*objects_near_the_origin(seed=3, count=300),
+                   Cube((0, 0), 1), Box((0, 3), (1, 5)),
+                   Ball((F(1, 2), F(1, 2)), F(1, 2)),
+                   Box((-5, 1), (7, 2)), Ball((-3, 5), 5), Cube((-7, -7, 2), 9)]
+        empty = 0
+        for o in objects:
+            want = [p for p in product(*_naive_ranges(o))
+                    if _naive_contains(o, p)]
+            p = G.find_grid_point(o)
+            assert (p in want) if want else (p is None), o
+            assert G.has_grid_point(o) == bool(want), o
+            empty += not want
+        assert 30 <= empty <= len(objects) - 100
+
+    def test_center_below_one_is_clamped(self):
+        assert G.find_grid_point(Box((-5, 1), (7, 2))) == (1, 2)
+        assert G.find_grid_point(Ball((-3, 5), 5)) == (1, 5)
+        assert G.find_grid_point(Ball((-3, 5), 4)) is None
 
 
 # -- counting ---------------------------------------------------------------------

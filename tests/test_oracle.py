@@ -247,7 +247,9 @@ class TestSweep:
 
 def common_point_instances(d):
     """Object lists sharing a grid point: nested cube chains, a ball
-    inside a box, irrational balls."""
+    inside a box, irrational balls, and overlapping pairs whose common
+    points lie many points past the first object's first point (narrower at
+    d = 3, where the per-point oracle would take seconds)."""
     third = F(1, 3)
     yield [Cube((k + third,) * d, 16 - 2 * k) for k in (0, 2, 4, 6)]
     yield [Cube((0,) * d, 2), Cube((0,) * d, 3), Cube((F(1, 2),) * d, 9)]
@@ -255,6 +257,10 @@ def common_point_instances(d):
     yield [Ball((5 + SQRT2 / 3,) + (5,) * (d - 1), 3),
            Ball((6,) * d, F(7, 2)), Ball((5 + SQRT2 / 7,) * d, 2),
            Cube((F(7, 2),) * d, 3)]
+    w = 128 if d < 3 else 32
+    yield [Cube((0,) * d, w), Cube((w // 2,) + (0,) * (d - 1), w)]
+    r = w // 2
+    yield [Ball((r,) * d, r), Ball((5 * r // 2,) + (r,) * (d - 1), r)]
 
 
 class TestFullCover:
@@ -270,6 +276,7 @@ class TestFullCover:
                 swept = reduce_instance(objects)
             assert (swept.candidates, swept.signatures, swept.full_mask) == \
                 (red.candidates, red.signatures, red.full_mask), objects
+            assert oracle._find_full_cover(objects) == swept.candidates[0]
             assert_sweep_matches_points(objects)
 
 
@@ -293,9 +300,22 @@ class TestLargeObjects:
         assert time.perf_counter() - t0 < 1.0
         assert red.candidates == [(1, 1)] and red.signatures == [1]
 
+    @pytest.mark.parametrize("objects, point", [
+        ([Cube((0, 0), 1 << 20), Cube((1 << 19, 1 << 19), 1 << 20)],
+         ((1 << 19) + 1, (1 << 19) + 1)),
+        # The second ball's first row, which the first ball holds.
+        ([Ball((1 << 17, 1 << 17), 1 << 17), Ball((3 << 16, 3 << 16), 1 << 17)],
+         (65537, 196097)),
+    ])
+    def test_overlapping_pair(self, objects, point):
+        t0 = time.perf_counter()
+        red = reduce_instance(objects)
+        assert time.perf_counter() - t0 < 1.0
+        assert red.candidates == [point] and red.signatures == [3]
+
     def test_ball_inside_huge_cube(self):
         # The intersection box is the ball's; its first points miss the
-        # ball, so the scan must walk the ball's rows, not the box.
+        # ball, so the search must walk the ball's rows, not the box.
         t0 = time.perf_counter()
         red = reduce_instance([Cube((0, 0, 0), 1 << 40),
                                Ball((1 << 39,) * 3, 1 << 38)])
