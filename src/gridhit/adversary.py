@@ -15,6 +15,7 @@ exact scalars keep the recurrence an identity rather than an estimate.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from math import floor
 from typing import Callable, Optional
@@ -29,14 +30,17 @@ Opponent = Callable[[FatObject], list[Point]]
 
 @dataclass
 class GameState:
-    """Trace of one game: objects[j] was answered by responses[j]."""
+    """Trace of one game: objects[j] was answered by responses[j].
+    ``points`` holds every answered point in lexicographic order, and
+    ``base_cube`` is the base shape's enclosing cube."""
 
     grid: GridSpec
     base: FatObject
+    base_cube: Cube
     objects: list[FatObject] = field(default_factory=list)
     responses: list[tuple[Point, ...]] = field(default_factory=list)
     empty_cells: list[Cube] = field(default_factory=list)
-    point_set: set[Point] = field(default_factory=set)
+    points: list[Point] = field(default_factory=list)
     finished: bool = False
     final_width: Optional[Scalar] = None
 
@@ -102,7 +106,8 @@ def find_empty_subcube(c: Cube, points: list[Point]) -> Cube:
 
 
 def new_game(grid: GridSpec, base: FatObject) -> GameState:
-    state = GameState(grid=grid, base=base)
+    state = GameState(grid=grid, base=base,
+                      base_cube=geometry.enclosing_cube(base))
     first = initial_object(grid, base)
     if not geometry.has_grid_point(first):
         raise EmptyObjectError("the grid-filling object has no grid point")
@@ -120,17 +125,22 @@ def next_object(state: GameState,
         raise ProtocolError("current object was already answered")
     current = state.objects[-1]
 
+    # Points answered before are found by bisection in ``state.points``
+    # and dropped; a point repeated within this answer counts once.
+    points = state.points
     new_pts: list[Point] = []
     for p in points_added:
         p = tuple(p)
         if not state.grid.contains_point(p):
             raise ProtocolError(f"point {p} is outside the grid")
-        if p not in state.point_set and p not in new_pts:
+        i = bisect_left(points, p)
+        if (i == len(points) or points[i] != p) and p not in new_pts:
             new_pts.append(p)
     if next(geometry.grid_points_among(current, new_pts), None) is None:
         raise ProtocolError("the current object was left unhit")
     state.responses.append(tuple(new_pts))
-    state.point_set.update(new_pts)
+    for p in new_pts:
+        insort(points, p)
 
     # Earlier points miss the current object (the candidate check below
     # proved it a step ago), so only this step's points can be inside.
@@ -139,7 +149,7 @@ def next_object(state: GameState,
         inner, list(geometry.grid_points_among(inner, new_pts)))
     state.empty_cells.append(cell)
 
-    base_ec = geometry.enclosing_cube(state.base)
+    base_ec = state.base_cube
     beta = cell.width / base_ec.width
     v = tuple(cc - beta * bc for cc, bc in zip(cell.corner, base_ec.corner))
     candidate = geometry.dilate(state.base, beta, v)
@@ -148,7 +158,9 @@ def next_object(state: GameState,
         state.finished = True
         state.final_width = geometry.out_width(candidate)
         return None
-    hit = next(geometry.grid_points_among(candidate, state.point_set), None)
+    # Every answered point is checked, through the slab of ``points`` that
+    # the candidate's first axis allows; none may lie inside it.
+    hit = next(geometry.grid_points_among_sorted(candidate, points), None)
     if hit is not None:
         raise InvariantViolation(
             f"candidate object contains existing point {hit}")

@@ -11,10 +11,19 @@ were unhit at arrival contain any one point, and the same cap bounds the
 points any single step adds.  The engine files unhit objects in a list
 per level and checks the first fact after every step with no state per
 point: a cheap certificate first, an exact count only when it fails.
+
+The hit test and the peer search cost what lies near the object, not
+what the run has placed.  The chosen points are also kept in
+lexicographic order, and the hit test reads only the slab whose first
+coordinate the object's integer corners allow.  Each level's list also
+has sorted keys (low corner's first coordinate, index in the list) and
+the widest first-axis extent filed there, which bound the keys of every
+object whose corners can meet a new one's.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, log2
@@ -55,7 +64,11 @@ class EngineState:
     independent and may run in parallel.
 
     ``unhit[l]`` lists, in arrival order, each object of level l that was
-    unhit at arrival.
+    unhit at arrival; ``_keys[l]`` holds, sorted, the key (low corner's
+    first coordinate, index in ``unhit[l]``) of each, and ``_widest[l]``
+    the largest first-axis extent (high less low corner) among them.
+    ``chosen`` lists the points in the order they were added and
+    ``_chosen_sorted`` holds the same points in lexicographic order.
     """
 
     def __init__(self, grid: GridSpec, fatness: Scalar):
@@ -67,14 +80,36 @@ class EngineState:
         self.fatness_sq = fatness * fatness
         self.step_cap = floor((4 * fatness + 1) ** grid.d)
         self.chosen: list[Point] = []
-        self._chosen_set: set[Point] = set()
+        self._chosen_sorted: list[Point] = []
         self.unhit: dict[int, list[FatObject]] = {}
+        self._keys: dict[int, list[tuple[int, int]]] = {}
+        self._widest: dict[int, int] = {}
         self.already_hit_count = 0
 
     # -- hit detection -------------------------------------------------------
 
     def is_hit(self, o: FatObject) -> bool:
-        return next(geometry.grid_points_among(o, self.chosen), None) is not None
+        return next(geometry.grid_points_among_sorted(
+            o, self._chosen_sorted), None) is not None
+
+    def peers(self, o: FatObject, level: int) -> list[FatObject]:
+        """The objects filed under ``level`` whose integer corners meet
+        o's, in arrival order.  A filed q meets o on the first axis only
+        if lo[0] - _widest[level] <= qlo[0] <= hi[0], so only the keys in
+        that range are tested on every axis."""
+        keys = self._keys.get(level)
+        if not keys:
+            return []
+        lo, hi = geometry.int_corners(o)
+        same = self.unhit[level]
+        start = bisect_left(keys, (lo[0] - self._widest[level],))
+        stop = bisect_left(keys, (hi[0] + 1,))
+        found = []
+        for i in sorted(i for _, i in keys[start:stop]):
+            qlo, qhi = geometry.int_corners(same[i])
+            if all(map(le, lo, qhi)) and all(map(le, qlo, hi)):
+                found.append(same[i])
+        return found
 
     # -- the online step -----------------------------------------------------
 
@@ -93,24 +128,25 @@ class EngineState:
         if len(added) > self.step_cap:
             raise InvariantViolation(
                 f"step added {len(added)} points, cap is {self.step_cap}")
+        ordered = self._chosen_sorted
         for p in added:
-            if p in self._chosen_set:
+            i = bisect_left(ordered, p)
+            if i < len(ordered) and ordered[i] == p:
                 raise InvariantViolation(
                     f"point {p} re-added; it should have hit the object")
         self.chosen.extend(added)
-        self._chosen_set.update(added)
+        for p in added:
+            insort(ordered, p)
 
         # Only same-level objects whose integer corners meet o's can share
         # a point with it, so 1 + their number certifies the cap.  Past
         # the cap, count exactly: dominance keeps the largest signature
         # holding o's bit, and the full-cover exit returns the full mask.
+        peers = self.peers(o, level)
         lo, hi = geometry.int_corners(o)
         same = self.unhit.setdefault(level, [])
-        peers = []
-        for q in same:
-            qlo, qhi = geometry.int_corners(q)
-            if all(map(le, lo, qhi)) and all(map(le, qlo, hi)):
-                peers.append(q)
+        insort(self._keys.setdefault(level, []), (lo[0], len(same)))
+        self._widest[level] = max(self._widest.get(level, 0), hi[0] - lo[0])
         same.append(o)
         if len(peers) >= self.step_cap:
             bit = 1 << len(peers)

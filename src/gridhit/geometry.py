@@ -14,6 +14,7 @@ quadratic irrationals (see ``exactnum``), never floats.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, repeat
@@ -242,7 +243,9 @@ def validate_in_grid(o: FatObject, grid: GridSpec) -> None:
 # ``grid_rows`` is its public stride-1 form.  A box, being a product set,
 # is tested for a point and levelled from its corners alone,
 # ``find_grid_point`` tests the points around the center, and
-# ``grid_points_among`` tests given points against the corners first.
+# ``grid_points_among`` tests given points against the corners first;
+# ``grid_points_among_sorted`` tests only the slab of a sorted list that
+# the corners' first axis allows.
 
 def int_corners(o: FatObject) -> tuple[Point, Point] | None:
     """Low and high corners of the object's integer candidate box: per
@@ -284,6 +287,23 @@ def grid_points_among(o: FatObject, points) -> Iterator[Point]:
         if (all(map(le, lo, p)) and all(map(le, p, hi))
                 and (not ball or contains(o, p))):
             yield p
+
+
+def grid_points_among_sorted(o: FatObject,
+                             points: list[Point]) -> Iterator[Point]:
+    """``grid_points_among`` over a list of points sorted in
+    lexicographic order.
+
+    Only the slab whose first coordinate lies in the first axis of
+    ``int_corners(o)`` can hold a point of the object; it is found by
+    bisection and tested as ``grid_points_among`` tests any list.
+    """
+    corners = int_corners(o)
+    if corners is not None:
+        lo, hi = corners
+        points = points[bisect_left(points, (lo[0],)):
+                        bisect_left(points, (hi[0] + 1,))]
+    return grid_points_among(o, points)
 
 
 def _integral(x: Scalar):

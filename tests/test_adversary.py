@@ -1,5 +1,6 @@
 """Forcing game: construction, invariants, and the guaranteed minimum."""
 
+from bisect import insort
 from fractions import Fraction
 from itertools import product
 
@@ -109,7 +110,7 @@ class TestProtocol:
         # Answering (1, 1) leaves the empty cell Cube((4, 4), 4) as the
         # next object; an earlier point inside it breaks the invariant.
         state = new_game(GridSpec(2, 8), base_shape(2, "cube"))
-        state.point_set.add((6, 6))
+        insort(state.points, (6, 6))
         with pytest.raises(InvariantViolation, match=r"\(6, 6\)"):
             next_object(state, [(1, 1)])
         assert state.empty_cells == [Cube((4, 4), 4)]

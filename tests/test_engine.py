@@ -6,6 +6,7 @@ import time
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from operator import le
 
 import pytest
 
@@ -66,6 +67,19 @@ def five_objects_two_hubs():
         Cube((F(19, 2), F(21, 2)), 2),
         Cube((F(21, 2), F(19, 2)), 2),
     ]
+
+
+def replay_runs():
+    """Seeded runs of 400 cubes, boxes and balls at d = 1, 2 and 3, each
+    also translated by 2**63 per axis onto the grid N = 2**64, which
+    keeps every level and every decision: 2400 objects in all."""
+    for i, (d, N, max_width) in enumerate([(1, 64, 16), (2, 128, 32),
+                                           (3, 32, 16)]):
+        inst = gen_random(d, N, 2, ("ball", "cube", "box"), 400,
+                          seed=40 + i, max_width=max_width)
+        yield inst.grid, inst.objects
+        yield GridSpec(d, 2**64), [G.dilate(o, 1, (2**63,) * d)
+                                   for o in inst.objects]
 
 
 class TestConstruction:
@@ -129,6 +143,15 @@ class TestProcess:
         assert eng.chosen == [(4, 4)]
         assert eng.unhit == unhit_before
         assert dense_counts(eng) == counts_before
+
+    def test_missed_hit_is_caught_as_a_re_add(self, monkeypatch):
+        eng = EngineState(GRID16, SQRT2)
+        o = Ball((4, 4), F(5, 2))
+        eng.process(o)
+        monkeypatch.setattr(eng, "is_hit", lambda o: False)
+        with pytest.raises(InvariantViolation, match="re-added"):
+            eng.process(o)
+        assert eng.chosen == [(4, 4)]
 
     def test_added_points_share_object_level(self):
         eng = EngineState(GRID16, SQRT2)
@@ -200,6 +223,42 @@ class TestRunInvariants:
         assert time.perf_counter() - start < 3.0
         filed = sum(len(same) for same in eng.unhit.values())
         assert filed + eng.already_hit_count == len(inst.objects) == 3000
+
+    def test_longer_run_in_bounded_time(self):
+        """12 000 objects on N = 2**16: the hit test and the peer search
+        read only the slab around each object, so the run takes about a
+        second, where scanning every chosen point and every filed object
+        took about 40 s."""
+        inst = gen_random(2, 2**16, SQRT2, count=12000, seed=1, max_width=64)
+        eng = EngineState(inst.grid, inst.fatness)
+        start = time.perf_counter()
+        for o in inst.objects:
+            eng.process(o)
+        assert time.perf_counter() - start < 5.0
+        filed = sum(len(same) for same in eng.unhit.values())
+        assert filed + eng.already_hit_count == len(inst.objects) == 12000
+
+    def test_slab_searches_match_linear_scans(self):
+        """Every hit test against a scan of ``chosen``, and every peer
+        list against a filter of ``unhit[level]`` in arrival order."""
+        hits = peered = 0
+        for grid, objects in replay_runs():
+            eng = EngineState(grid, 2)
+            for o in objects:
+                hit = eng.is_hit(o)
+                assert hit == (next(G.grid_points_among(o, eng.chosen), None)
+                               is not None)
+                if not hit:
+                    level = G.object_level(o)
+                    lo, hi = G.int_corners(o)
+                    want = [q for q in eng.unhit.get(level, [])
+                            if all(map(le, lo, G.int_corners(q)[1]))
+                            and all(map(le, G.int_corners(q)[0], hi))]
+                    assert eng.peers(o, level) == want
+                    peered += bool(want)
+                hits += hit
+                eng.process(o)
+        assert hits >= 1000 and peered >= 50
 
 
 class TestRatioReport:

@@ -305,6 +305,9 @@ class TestGridPointsAmong:
         o, points = case
         got = list(G.grid_points_among(o, points))
         assert got == [p for p in points if G.contains(o, p)]
+        ordered = sorted(points)
+        assert (list(G.grid_points_among_sorted(o, ordered))
+                == [p for p in ordered if G.contains(o, p)])
         stored = G.int_corners(o)
         assert isinstance(stored, (tuple, type(None)))
         assert G.int_corners(o) is stored
@@ -321,6 +324,22 @@ class TestGridPointsAmong:
         o = Ball((2, 2), F(5, 4))
         assert G.int_corners(o) == ((1, 1), (3, 3))
         assert list(G.grid_points_among(o, [(1, 1), (2, 1), (3, 3)])) == [(2, 1)]
+
+    def test_sorted_slab_matches_full_scan(self):
+        """Objects near the origin, some empty, some reaching below 1 and
+        many of them balls, against every point up to 11 per axis, so
+        points sit on both ends of each slab and just outside them."""
+        objects = [*objects_near_the_origin(seed=5, count=200),
+                   Box((-5, 1), (7, 2)), Ball((2, 2), F(5, 4))]
+        empty = clipped = 0
+        for o in objects:
+            points = list(product(range(1, 12), repeat=G.dimension(o)))
+            got = list(G.grid_points_among_sorted(o, points))
+            assert got == list(G.grid_points_among(o, points)), o
+            corners = G.int_corners(o)
+            empty += corners is None
+            clipped += corners is not None and corners[0][0] == 1
+        assert empty >= 10 and clipped >= 10
 
     def test_lazy(self):
         points = iter([(2, 2), "never read"])
