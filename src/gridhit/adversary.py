@@ -44,10 +44,6 @@ class GameState:
     finished: bool = False
     final_width: Optional[Scalar] = None
 
-    @property
-    def points_per_step(self) -> tuple[int, ...]:
-        return tuple(len(r) for r in self.responses)
-
 
 @dataclass
 class GameSummary:
@@ -192,7 +188,7 @@ def play_game_traced(grid: GridSpec, base: FatObject,
 def summarize(state: GameState) -> GameSummary:
     if not state.finished:
         raise ProtocolError("game still in progress")
-    ks = state.points_per_step
+    ks = tuple(map(len, state.responses))
     total = sum(ks)
     # Rows come in lexicographic order, so this is the smallest point.
     prefix, a, _ = next(geometry.grid_rows(state.objects[-1]))

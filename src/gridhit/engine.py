@@ -13,12 +13,12 @@ per level and checks the first fact after every step with no state per
 point: a cheap certificate first, an exact count only when it fails.
 
 The hit test and the peer search cost what lies near the object, not
-what the run has placed.  The chosen points are also kept in
-lexicographic order, and the hit test reads only the slab whose first
-coordinate the object's integer corners allow.  Each level's list also
-has sorted keys (low corner's first coordinate, index in the list) and
-the widest first-axis extent filed there, which bound the keys of every
-object whose corners can meet a new one's.
+what the run has placed.  The chosen points are kept in lexicographic
+order, and the hit test reads only the slab whose first coordinate the
+object's integer corners allow.  Each level's list is kept sorted by its
+objects' low-corner first coordinate; with the widest first-axis extent
+filed there, that bounds the slab of every object whose corners can meet
+a new one's.
 """
 
 from __future__ import annotations
@@ -59,16 +59,20 @@ class RatioReport:
     within_bound: bool
 
 
+def _low(o: FatObject) -> int:
+    """The first coordinate of the object's low integer corner."""
+    return geometry.int_corners(o)[0][0]
+
+
 class EngineState:
     """One online run: strictly sequential; distinct instances are
     independent and may run in parallel.
 
-    ``unhit[l]`` lists, in arrival order, each object of level l that was
-    unhit at arrival; ``_keys[l]`` holds, sorted, the key (low corner's
-    first coordinate, index in ``unhit[l]``) of each, and ``_widest[l]``
-    the largest first-axis extent (high less low corner) among them.
-    ``chosen`` lists the points in the order they were added and
-    ``_chosen_sorted`` holds the same points in lexicographic order.
+    ``unhit[l]`` lists each object of level l that was unhit at arrival,
+    sorted by its low corner's first coordinate, ties in filing order;
+    ``_widest[l]`` is the largest first-axis extent (high less low
+    corner) among them.  ``chosen`` lists the added points in
+    lexicographic order.
     """
 
     def __init__(self, grid: GridSpec, fatness: Scalar):
@@ -80,9 +84,7 @@ class EngineState:
         self.fatness_sq = fatness * fatness
         self.step_cap = floor((4 * fatness + 1) ** grid.d)
         self.chosen: list[Point] = []
-        self._chosen_sorted: list[Point] = []
         self.unhit: dict[int, list[FatObject]] = {}
-        self._keys: dict[int, list[tuple[int, int]]] = {}
         self._widest: dict[int, int] = {}
         self.already_hit_count = 0
 
@@ -90,25 +92,24 @@ class EngineState:
 
     def is_hit(self, o: FatObject) -> bool:
         return next(geometry.grid_points_among_sorted(
-            o, self._chosen_sorted), None) is not None
+            o, self.chosen), None) is not None
 
     def peers(self, o: FatObject, level: int) -> list[FatObject]:
         """The objects filed under ``level`` whose integer corners meet
-        o's, in arrival order.  A filed q meets o on the first axis only
-        if lo[0] - _widest[level] <= qlo[0] <= hi[0], so only the keys in
-        that range are tested on every axis."""
-        keys = self._keys.get(level)
-        if not keys:
+        o's, in list order.  A filed q meets o on the first axis only if
+        lo[0] - _widest[level] <= qlo[0] <= hi[0], so only that slab of
+        the list is tested on every axis."""
+        same = self.unhit.get(level)
+        if not same:
             return []
         lo, hi = geometry.int_corners(o)
-        same = self.unhit[level]
-        start = bisect_left(keys, (lo[0] - self._widest[level],))
-        stop = bisect_left(keys, (hi[0] + 1,))
+        start = bisect_left(same, lo[0] - self._widest[level], key=_low)
+        stop = bisect_left(same, hi[0] + 1, key=_low)
         found = []
-        for i in sorted(i for _, i in keys[start:stop]):
-            qlo, qhi = geometry.int_corners(same[i])
+        for q in same[start:stop]:
+            qlo, qhi = geometry.int_corners(q)
             if all(map(le, lo, qhi)) and all(map(le, qlo, hi)):
-                found.append(same[i])
+                found.append(q)
         return found
 
     # -- the online step -----------------------------------------------------
@@ -128,15 +129,14 @@ class EngineState:
         if len(added) > self.step_cap:
             raise InvariantViolation(
                 f"step added {len(added)} points, cap is {self.step_cap}")
-        ordered = self._chosen_sorted
+        chosen = self.chosen
         for p in added:
-            i = bisect_left(ordered, p)
-            if i < len(ordered) and ordered[i] == p:
+            i = bisect_left(chosen, p)
+            if i < len(chosen) and chosen[i] == p:
                 raise InvariantViolation(
                     f"point {p} re-added; it should have hit the object")
-        self.chosen.extend(added)
         for p in added:
-            insort(ordered, p)
+            insort(chosen, p)
 
         # Only same-level objects whose integer corners meet o's can share
         # a point with it, so 1 + their number certifies the cap.  Past
@@ -144,10 +144,8 @@ class EngineState:
         # holding o's bit, and the full-cover exit returns the full mask.
         peers = self.peers(o, level)
         lo, hi = geometry.int_corners(o)
-        same = self.unhit.setdefault(level, [])
-        insort(self._keys.setdefault(level, []), (lo[0], len(same)))
+        insort(self.unhit.setdefault(level, []), o, key=_low)
         self._widest[level] = max(self._widest.get(level, 0), hi[0] - lo[0])
-        same.append(o)
         if len(peers) >= self.step_cap:
             bit = 1 << len(peers)
             sigs = oracle.reduce_instance(peers + [o]).signatures

@@ -76,10 +76,6 @@ def scalar_to_text(x: Scalar) -> str:
     return str(v)
 
 
-def point_to_json(p) -> list[int]:
-    return list(p)
-
-
 def shape_to_json(o: FatObject) -> dict:
     if isinstance(o, Cube):
         return {"shape": "cube",
@@ -202,5 +198,5 @@ def read_instance(path) -> InstanceFile:
 def decision_to_json(decision) -> dict:
     if isinstance(decision, Added):
         return {"type": "added", "level": decision.level,
-                "points": [point_to_json(p) for p in decision.points]}
+                "points": decision.points}
     return {"type": "already_hit"}

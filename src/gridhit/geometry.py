@@ -48,7 +48,7 @@ class GridSpec:
 
     def contains_point(self, p) -> bool:
         return (len(p) == self.d
-                and all(isinstance(c, int) and 1 <= c <= self.N - 1 for c in p))
+                and all(type(c) is int and 1 <= c <= self.N - 1 for c in p))
 
 
 def _scalar_tuple(values) -> tuple[Scalar, ...]:
@@ -238,14 +238,13 @@ def validate_in_grid(o: FatObject, grid: GridSpec) -> None:
 
 # -- lattice enumeration --------------------------------------------------------
 #
-# Every enumeration below consumes one primitive, ``_rows``: the object's
-# points on a stride lattice, grouped into runs along the last axis;
-# ``grid_rows`` is its public stride-1 form.  A box, being a product set,
-# is tested for a point and levelled from its corners alone,
-# ``find_grid_point`` tests the points around the center, and
-# ``grid_points_among`` tests given points against the corners first;
-# ``grid_points_among_sorted`` tests only the slab of a sorted list that
-# the corners' first axis allows.
+# Every enumeration below consumes one primitive, ``grid_rows``: the
+# object's points on a stride lattice, grouped into runs along the last
+# axis.  A box, being a product set, is tested for a point and levelled
+# from its corners alone, ``find_grid_point`` tests the points around the
+# center, and ``grid_points_among`` tests given points against the
+# corners first; ``grid_points_among_sorted`` tests only the slab of a
+# sorted list that the corners' first axis allows.
 
 def int_corners(o: FatObject) -> tuple[Point, Point] | None:
     """Low and high corners of the object's integer candidate box: per
@@ -348,19 +347,20 @@ def _lattice(axes) -> Iterator[Point]:
             yield prefix + (x,)
 
 
-def _rows(o: FatObject, stride: int, box=None) -> Iterator[Row]:
+def grid_rows(o: FatObject, box=None, stride: int = 1) -> Iterator[Row]:
     """The object's integer points whose coordinates are all multiples of
     ``stride``, as rows ``(prefix, a, b)`` in lexicographic order: the
     points with first d-1 coordinates ``prefix`` are exactly
     ``prefix + (x,)`` for the multiples x of stride in [a, b], and a is
-    one of them.  The rows lie within ``int_corners(o)``, and within the
-    inclusive integer corners ``box = (lo, hi)`` when given; there are
-    none when it is None.
+    one of them.  Coordinates are >= 1, as in ``grid_points_in``.
 
-    A box row is its last-axis range.  A ball row comes from an ``isqrt``
-    of the squared radius left over by the prefix, for rational and
-    irrational balls alike.  Rows are generated lazily, so the first row
-    of a box costs O(d) whatever its size.
+    ``box = (lo, hi)``, inclusive integer corners, keeps only the points
+    inside it; a box pinned to one prefix gives that row in O(d).  A box
+    row is its last-axis range.  A ball row comes from an ``isqrt`` of
+    the squared radius left over by the prefix, for rational and
+    irrational balls alike.  Rows are generated lazily, so a caller that
+    stops early pays only for the rows it read, and the first row of a
+    box costs O(d) whatever its size.
     """
     corners = int_corners(o)
     if corners is None:
@@ -410,19 +410,6 @@ def _ball_rows(lo, hi, stride, cnum, den, rem, prefix) -> Iterator[Row]:
         t = x * den - c
         yield from _ball_rows(lo, hi, stride, cnum, den, rem - t * t,
                               prefix + (x,))
-
-
-def grid_rows(o: FatObject, box=None) -> Iterator[Row]:
-    """The object's integer points as rows ``(prefix, a, b)`` in
-    lexicographic order: the points with first d-1 coordinates ``prefix``
-    are exactly ``prefix + (x,)`` for a <= x <= b.  Coordinates are >= 1,
-    as in ``grid_points_in``.  Lazy, so a caller that stops early pays
-    only for the rows it read.
-
-    ``box = (lo, hi)``, inclusive integer corners, keeps only the points
-    inside it; a box pinned to one prefix gives that row in O(d).
-    """
-    return _rows(o, 1, box)
 
 
 def grid_points_in(o: FatObject) -> list[Point]:
@@ -478,7 +465,7 @@ def object_level(o: FatObject) -> int:
     if isinstance(o, (Cube, Box)):
         return cap
     for level in range(cap, -1, -1):
-        if next(_rows(o, 1 << level), None) is not None:
+        if next(grid_rows(o, stride=1 << level), None) is not None:
             return level
     raise EmptyObjectError("object contains no grid point")
 
@@ -490,7 +477,7 @@ def points_of_level(o: FatObject, level: int) -> list[Point]:
         raise ValueError(f"level must be non-negative, got {level}")
     stride = 1 << level
     out: list[Point] = []
-    for prefix, a, b in _rows(o, stride):
+    for prefix, a, b in grid_rows(o, stride=stride):
         step = stride
         if not any((v >> level) & 1 for v in prefix):
             # Level exactly ``level`` needs a coordinate that is an odd

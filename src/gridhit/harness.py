@@ -198,8 +198,7 @@ def _write_game_trace(path, state: GameState, summary: GameSummary) -> None:
         for j, o in enumerate(state.objects):
             rec = {
                 "object": formats.shape_to_json(o),
-                "points": [formats.point_to_json(p)
-                           for p in state.responses[j]],
+                "points": state.responses[j],
                 "points_added": len(state.responses[j]),
                 "outer_width": formats.scalar_to_json(geometry.out_width(o)),
                 "inner_width": formats.scalar_to_json(geometry.in_width(o)),
@@ -214,7 +213,7 @@ def _write_game_trace(path, state: GameState, summary: GameSummary) -> None:
             "steps": summary.steps,
             "total_points": summary.total_points,
             "forced_minimum_met": summary.forced_minimum_met,
-            "certificate": formats.point_to_json(summary.certificate),
+            "certificate": summary.certificate,
             "opt_size": 1,
             "final_width": None if summary.final_width is None else
                            formats.scalar_to_json(summary.final_width),
@@ -231,6 +230,8 @@ def gen_random(d: int, N: int, fatness: Scalar, shapes=("ball", "cube", "box"),
     invariants.  Only integer draws touch the RNG, so the same seed gives
     the same file on every platform."""
     grid = GridSpec(d, N)
+    if count < 0:
+        raise InstanceFormatError(f"count must be >= 0, got {count}")
     fatness = as_scalar(fatness)
     if not fatness >= 1:
         raise InstanceFormatError(f"alpha must be >= 1, got {fatness}")
@@ -271,61 +272,44 @@ def gen_random(d: int, N: int, fatness: Scalar, shapes=("ball", "cube", "box"),
     ratio_cap = Fraction(floor(fatness * 64), 64)
 
     objects: list[FatObject] = []
-    last_reason = "no attempt made"
     for _ in range(count):
-        placed = False
         for _attempt in range(1000):
             kind = shapes[rng.randrange(len(shapes))]
             b = rng.randrange(buckets)
             w = Fraction(rng.randint(lo8 << b, min(hi8, ((lo8 << b) << 1) - 1)), 8)
-            if w > N:
-                last_reason = f"width {w} exceeds the grid bound {N}"
-                continue
             o = _sample_shape(rng, kind, d, N, w, ratio_cap)
-            if o is None:
-                last_reason = f"{kind} of width {w} does not fit the grid"
-                continue
-            if not geometry.has_grid_point(o):
-                last_reason = f"{kind} of width {w} caught no grid point"
-                continue
-            geometry.validate_in_grid(o, grid)
-            geometry.validate_fatness(o, fat_sq)
-            objects.append(o)
-            placed = True
-            break
-        if not placed:
+            if geometry.has_grid_point(o):
+                break
+        else:
             raise InstanceFormatError(
-                f"rejection budget exceeded while sampling: {last_reason}")
+                "rejection budget exceeded while sampling: "
+                f"{kind} of width {w} caught no grid point")
+        geometry.validate_in_grid(o, grid)
+        geometry.validate_fatness(o, fat_sq)
+        objects.append(o)
     return InstanceFile(grid, fatness, objects, seed)
 
 
 def _sample_shape(rng: random.Random, kind: str, d: int, N: int,
-                  w: Fraction, ratio_cap: Fraction) -> Optional[FatObject]:
+                  w: Fraction, ratio_cap: Fraction) -> FatObject:
+    """A shape of width w <= N placed uniformly inside [0, N]^d."""
     if kind == "ball":
         r = w / 2
         lo16 = int(16 * r)
-        hi16 = 16 * N - lo16
-        if lo16 > hi16:
-            return None
-        center = tuple(Fraction(rng.randint(lo16, hi16), 16) for _ in range(d))
+        center = tuple(Fraction(rng.randint(lo16, 16 * N - lo16), 16)
+                       for _ in range(d))
         return Ball(center, r)
     if kind == "cube":
         span = int(8 * (N - w))
-        if span < 0:
-            return None
         corner = tuple(Fraction(rng.randint(0, span), 8) for _ in range(d))
         return Cube(corner, w)
     # box: per-axis widths in [w/ratio_cap, w]
     lo64 = ceil(64 * w / ratio_cap)
     hi64 = int(64 * w)
     widths = tuple(Fraction(rng.randint(lo64, hi64), 64) for _ in range(d))
-    corner = []
-    for wi in widths:
-        span = int(64 * (N - wi))
-        if span < 0:
-            return None
-        corner.append(Fraction(rng.randint(0, span), 64))
-    return Box(tuple(corner), widths)
+    corner = tuple(Fraction(rng.randint(0, int(64 * (N - wi))), 64)
+                   for wi in widths)
+    return Box(corner, widths)
 
 
 # -- naive oracles for the verification sweeps -----------------------------------

@@ -106,6 +106,12 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             next_object(state, [(0, 1)])
 
+    def test_bool_point_rejected(self):
+        state = new_game(GridSpec(2, 8), base_shape(2, "cube"))
+        with pytest.raises(ProtocolError, match="outside the grid"):
+            next_object(state, [(True, True)])
+        assert state.points == [] and state.responses == []
+
     def test_earlier_point_in_candidate_is_caught(self):
         # Answering (1, 1) leaves the empty cell Cube((4, 4), 4) as the
         # next object; an earlier point inside it breaks the invariant.

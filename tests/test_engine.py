@@ -39,12 +39,15 @@ def dense_counts(eng):
 
 def process_all(eng, objects):
     """Process the objects in order and check that ``eng.unhit`` files
-    exactly those that were unhit at arrival, under their level."""
+    exactly those that were unhit at arrival, under their level, sorted
+    by their low corner's first coordinate, ties in arrival order."""
     expected = {}
     for o in objects:
         decision = eng.process(o)
         if isinstance(decision, Added):
             expected.setdefault(decision.level, []).append(o)
+    for same in expected.values():
+        same.sort(key=lambda q: G.int_corners(q)[0][0])
     assert eng.unhit == expected
 
 
@@ -170,6 +173,14 @@ class TestRunInvariants:
                 eng.process(o)
             assert oracle.verify_hitting_set(inst.objects, eng.chosen)
 
+    def test_chosen_is_the_sorted_added_points(self):
+        for inst in fuzz_instances():
+            eng = EngineState(inst.grid, inst.fatness)
+            added = [p for o in inst.objects
+                     if isinstance(d := eng.process(o), Added)
+                     for p in d.points]
+            assert eng.chosen == sorted(eng.chosen) == sorted(added)
+
     def test_step_bound_and_counter_caps(self):
         for inst in fuzz_instances():
             eng = EngineState(inst.grid, inst.fatness)
@@ -240,7 +251,7 @@ class TestRunInvariants:
 
     def test_slab_searches_match_linear_scans(self):
         """Every hit test against a scan of ``chosen``, and every peer
-        list against a filter of ``unhit[level]`` in arrival order."""
+        list against a filter of ``unhit[level]`` in list order."""
         hits = peered = 0
         for grid, objects in replay_runs():
             eng = EngineState(grid, 2)

@@ -145,6 +145,10 @@ class TestGenRandom:
         assert inst.objects == []
         assert parse_instance(serialize_instance(inst)).objects == []
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(InstanceFormatError, match="count must be >= 0"):
+            harness.gen_random(2, 64, F(1), ("cube",), -3, seed=0)
+
     def test_width_beyond_grid_rejected(self):
         with pytest.raises(InstanceFormatError, match="exceeds the grid"):
             harness.gen_random(2, 16, F(1), ("cube",), 3, seed=0, min_width=32)
