@@ -126,8 +126,15 @@ def _cmd_verify(args) -> int:
     if ignored:
         print(f"note: {', '.join(ignored)} ignored for --suite {args.suite}",
               file=sys.stderr)
-    results = harness.run_suite(
-        args.suite, **{k: v for k, v in given.items() if k in takes})
+    params = {k: v for k, v in given.items() if k in takes}
+    # A suite run at these values checks nothing, yet would report a pass.
+    if params.get("count", 1) < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
+    if args.suite == "levelcount" and params.get("N", 4) < 4:
+        raise ValueError(
+            f"--N must be >= 4 for --suite levelcount (the smallest critical "
+            f"width), got {args.N}")
+    results = harness.run_suite(args.suite, **params)
     failed = False
     for res in results:
         status = "pass" if res.passed else "FAIL"

@@ -140,7 +140,7 @@ class EngineState:
 
         # Only same-level objects whose integer corners meet o's can share
         # a point with it, so 1 + their number certifies the cap.  Past
-        # the cap, count exactly: dominance keeps the largest signature
+        # the cap, count exactly: the sweep keeps the largest signature
         # holding o's bit, and the full-cover exit returns the full mask.
         peers = self.peers(o, level)
         lo, hi = geometry.int_corners(o)

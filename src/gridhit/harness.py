@@ -127,7 +127,10 @@ def run_online(inst: InstanceFile, transcript_path=None) -> Report:
 # -- forcing games --------------------------------------------------------------
 
 def base_shape(d: int, kind: str, aspect=None) -> FatObject:
-    """Unit-size template of the requested kind (the game dilates it)."""
+    """Unit-size template of the requested kind (the game dilates it).
+    Only a box takes an ``aspect``."""
+    if aspect is not None and kind in ("cube", "ball"):
+        raise ValueError(f"aspect applies to boxes only, not a {kind}")
     if kind == "cube":
         return Cube((0,) * d, 1)
     if kind == "ball":
@@ -537,7 +540,7 @@ def verify_ratio(count: int = 200, seed: int = 715) -> SuiteResult:
     return res
 
 
-# A 600-object instance (1012 candidates) and its certified optimum.
+# A 600-object instance (2687 swept candidates) and its certified optimum.
 _ORACLE_LARGE = dict(d=2, N=256, fatness=SQRT2, count=600, seed=2,
                      max_width=64)
 _ORACLE_LARGE_OPT = 294
@@ -585,8 +588,7 @@ def verify_oracle(count: int = 100, seed: int = 908) -> SuiteResult:
 
 
 # Forcing games as (shape, d, N): balls past float range and at d = 4, 5;
-# cubes and boxes at N far past float range, where each step scans every
-# earlier point.
+# cubes and boxes at N far past float range.
 _GAMES = (
     ("ball", 2, 2**64), ("ball", 3, 2**64), ("ball", 2, 2**128),
     ("ball", 4, 2**10), ("ball", 5, 2**10),

@@ -7,20 +7,21 @@ a point changes only where some object's interval starts or ends, so it
 costs O(rows log rows), not time or memory in proportion to object area.
 Only locally maximal runs are recorded, those an addition starts and a
 removal ends: any other run's signature is a strict subset of a
-neighbouring run's, so dropping it keeps the maximal signatures and their
-smallest points.  Candidates with equal signatures are merged and
-dominated ones dropped.  Before the sweep, the smallest point in every
-object is found exactly.  The intersection of the objects' integer
-corners, in plain ints, rules one out at once when it is empty; else the
-balls' rows inside it are cut to one another, one prefix at a time.
+neighbouring run's, so dropping it loses no maximal signature.
+Candidates with equal signatures are merged at their smallest point;
+dominated ones are left to the solver.  Before the sweep, the smallest
+point in every object is found exactly.  The intersection of the
+objects' integer corners, in plain ints, rules one out at once when it
+is empty; else the balls' rows inside it are cut to one another, one
+prefix at a time.
 
 The exact solver then applies the classic set-cover data reductions
 (Weihe, "Covering trains by stations or the power of data reduction",
 ALENEX 1998) until none applies: an object with one candidate forces it,
 an object whose candidates include another object's goes, and so does a
-candidate whose objects are a subset of another's.  What is left splits
-into connected components, and branch and bound solves each one, seeded
-by greedy.  A greedy approximation and a brute-force subset enumeration
+candidate whose objects are a subset of another's, the one place where
+dominated candidates are dropped.  What is left splits into connected
+components, and branch and bound solves each one, seeded by greedy.  A greedy approximation and a brute-force subset enumeration
 are also provided, the latter as the independent cross-check.
 """
 
@@ -41,10 +42,9 @@ from gridhit.geometry import Ball, FatObject, Point
 class ReducedInstance:
     """Candidate points with bitmask signatures over the object list.
 
-    Candidates with identical signatures are merged (keeping the
-    lexicographically smallest point) and dominated candidates, whose
-    signature is a strict subset of another's, are dropped.  Both steps
-    preserve the exact optimum.
+    Candidates come in lexicographic order, one per distinct signature, at
+    its smallest point.  Dominated candidates, whose signature is a strict
+    subset of another's, may remain: the exact solver drops them.
     """
 
     objects: list[FatObject]
@@ -115,8 +115,7 @@ def reduce_instance(objects: list[FatObject]) -> ReducedInstance:
 
     Raises ``EmptyObjectError`` naming the first object with no grid
     point.  A point common to all objects is the one candidate; otherwise
-    the row sweep gives the signatures of the locally maximal runs, and
-    the dominance pass keeps the maximal ones.
+    the row sweep gives the signatures of the locally maximal runs.
     """
     m = len(objects)
     if m == 0:
@@ -144,9 +143,10 @@ def reduce_instance(objects: list[FatObject]) -> ReducedInstance:
 
     # A run is recorded only if an addition starts it and a removal ends
     # it; removals sort first at one x.  Any other run's signature is a
-    # strict subset of a neighbouring run's, so dominance would drop it,
-    # wherever else it occurs.  Prefixes come in lexicographic order and x
-    # increasing, so the first point recorded for a signature is its
+    # strict subset of a neighbouring run's, so the solver's dominance rule
+    # would drop it, wherever else it occurs.  Prefixes come in
+    # lexicographic order and x increasing, so points are recorded in
+    # lexicographic order and the first one for a signature is its
     # smallest point.
     best: dict[int, Point] = {}
     for prefix in sorted(events):
@@ -160,23 +160,7 @@ def reduce_instance(objects: list[FatObject]) -> ReducedInstance:
                     best[sig] = prefix + (start,)
                 start = None
             sig += delta
-
-    # Dominance: drop signatures that are strict subsets of a kept one.  A
-    # kept superset holds the signature's first object, so only the kept
-    # signatures holding that object are tried.
-    kept: list[int] = []
-    holding: list[list[int]] = [[] for _ in range(m)]
-    for sig in sorted(best, key=lambda s: (-s.bit_count(), best[s])):
-        first = (sig & -sig).bit_length() - 1
-        if not any(sig & other == sig for other in holding[first]):
-            kept.append(sig)
-            for i in _bits(sig):
-                holding[i].append(sig)
-
-    pairs = sorted((best[sig], sig) for sig in kept)
-    return ReducedInstance(list(objects),
-                           [p for p, _ in pairs],
-                           [sig for _, sig in pairs],
+    return ReducedInstance(list(objects), list(best.values()), list(best),
                            full)
 
 
@@ -248,7 +232,9 @@ def _reduce(sigs: list[int], cands: list[int]) -> tuple[list[int], int]:
     - An object whose candidates include all of another object's goes:
       any point hitting the other hits it too.
     - A candidate whose objects left are a subset of another's goes (of
-      two equal ones the later, larger point).
+      two equal ones the later, larger point).  Candidates are tried by
+      falling object count; a kept superset holds the candidate's first
+      object, so only the kept ones filed under it are tested.
 
     ``sigs`` and ``cands`` are cut down in place to the objects and
     candidates left.  Returns the forced candidates and the mask of the
@@ -275,15 +261,15 @@ def _reduce(sigs: list[int], cands: list[int]) -> tuple[list[int], int]:
                 objs &= ~sup | 1 << j
         for idx in _bits(cols):
             sigs[idx] &= objs
-        for idx in _bits(cols):
+        holding: list[list[int]] = [[] for _ in cands]
+        for idx in sorted(_bits(cols), key=lambda c: -sigs[c].bit_count()):
             s = sigs[idx]
-            # A candidate dominating idx hits s's first object.
             first = (s & -s).bit_length() - 1
-            if s == 0 or any(
-                    other != idx and s & sigs[other] == s
-                    and (s != sigs[other] or other < idx)
-                    for other in _bits(cands[first] & cols)):
+            if s == 0 or any(s & other == s for other in holding[first]):
                 cols &= ~(1 << idx)
+            else:
+                for i in _bits(s):
+                    holding[i].append(s)
         for i in _bits(objs):
             cands[i] &= cols
         if (objs, cols) == before:

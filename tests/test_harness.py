@@ -413,11 +413,38 @@ class TestCli:
         assert code == 0
         assert "forced_minimum_met=True" in out
 
+    @pytest.mark.parametrize("shape, aspect", [("cube", "1,5"), ("ball", "7")])
+    def test_adversary_aspect_needs_a_box(self, shape, aspect, capsys):
+        code, out = self.run_cli("adversary", "--shape", shape,
+                                 "--aspect", aspect)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == \
+            f"error: aspect applies to boxes only, not a {shape}\n"
+
     def test_verify_command(self):
         code, out = self.run_cli("verify", "--suite", "oracle",
                                  "--count", "10")
         assert code == 0
         assert "oracle: pass" in out
+
+    @pytest.mark.parametrize("args", [
+        ("--suite", "oracle", "--count", "-3"),
+        ("--suite", "ratio", "--count", "0"),
+        ("--suite", "levelcount", "--N", "2"),
+        ("--suite", "levelcount", "--N", "3"),
+    ])
+    def test_verify_rejects_values_that_check_nothing(self, args, capsys,
+                                                      monkeypatch):
+        def refuse(name, **params):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(harness, "run_suite", refuse)
+        code, out = self.run_cli("verify", *args)
+        assert code == 2 and out == ""
+        flag, value = args[2:]
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be >= ")
+        assert err.endswith(f"got {value}\n")
 
     def test_verify_flags_reach_the_suite(self, capsys):
         code, out = self.run_cli("verify", "--suite", "stepcap",

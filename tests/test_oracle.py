@@ -2,6 +2,7 @@
 
 import random
 import time
+from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
@@ -42,28 +43,44 @@ def raw_brute_force_opt(objects):
     raise AssertionError("infeasible instance")
 
 
-def reduce_by_points(objects):
-    """Naive oracle for ``reduce_instance``'s row sweep: a signature per
-    grid point in a dict, then the same deduplication and dominance."""
+def masks_by_point(objects):
+    """Naive oracle for ``reduce_instance``'s row sweep: each grid point's
+    mask of the objects holding it, in a dict."""
     masks = {}
     for i, o in enumerate(objects):
         for p in G.grid_points_in(o):
             masks[p] = masks.get(p, 0) | 1 << i
+    return masks
+
+
+def undominated(points, signatures):
+    """The (point, signature) pairs whose signature is a strict subset of
+    no other, in point order."""
+    return sorted((p, s) for p, s in zip(points, signatures)
+                  if not any(s & t == s != t for t in signatures))
+
+
+def reduce_by_points(masks):
+    """Each distinct mask at its smallest point, dominated ones dropped."""
     best = {}
     for p in sorted(masks):
         best.setdefault(masks[p], p)
-    kept = []
-    for sig in sorted(best, key=lambda s: (-bin(s).count("1"), best[s])):
-        if not any(sig & other == sig for other in kept):
-            kept.append(sig)
-    pairs = sorted((best[sig], sig) for sig in kept)
-    return [p for p, _ in pairs], [sig for _, sig in pairs], (1 << len(objects)) - 1
+    return undominated(best.values(), list(best))
+
+
+def assert_matches_points(red, masks):
+    """Every candidate carries its point's mask, and the candidates left
+    by the naive dominance are the per-point reduction."""
+    assert red.full_mask == (1 << len(red.objects)) - 1
+    assert red.candidates == sorted(red.candidates)
+    for p, sig in zip(red.candidates, red.signatures):
+        assert masks.get(p) == sig, (p, red.objects)
+    assert undominated(red.candidates, red.signatures) == \
+        reduce_by_points(masks), red.objects
 
 
 def assert_sweep_matches_points(objects):
-    red = reduce_instance(objects)
-    assert (red.candidates, red.signatures, red.full_mask) == \
-        reduce_by_points(objects), objects
+    assert_matches_points(reduce_instance(objects), masks_by_point(objects))
 
 
 def random_object(rng, d):
@@ -147,13 +164,16 @@ class TestReduce:
         assert sorted(red.signatures) == [1, 2]
 
     def test_dominance_pruning(self):
-        # The small cube's points also hit the big one: the private points
-        # of the big cube are dominated away.
+        # The small cube's point also hits the big one.  A third, apart,
+        # rules out a common point: the sweep keeps the big cube's first
+        # point, which the solver's reductions drop.
         big = Cube((0, 0), 8)
         small = Cube((2, 2), 2)
-        red = reduce_instance([big, small])
-        assert red.candidates == [(3, 3)]
-        assert red.signatures == [3]
+        apart = Cube((10, 10), 2)
+        red = reduce_instance([big, small, apart])
+        assert red.candidates == [(1, 1), (3, 3), (11, 11)]
+        assert red.signatures == [1, 3, 4]
+        assert exact_min_hitting_set(red).points == ((3, 3), (11, 11))
 
     def test_nested_chain_collapses_to_full_cover(self):
         chain = [Cube((0, 0), 16), Cube((2, 2), 10), Cube((4, 4), 4)]
@@ -234,15 +254,14 @@ class TestSweep:
                              max_width=16).objects
         lows, highs = zip(*map(G.int_corners, objects))
         assert any(max(lo) > min(hi) for lo, hi in zip(zip(*lows), zip(*highs)))
-        expected = reduce_by_points(objects)
+        masks = masks_by_point(objects)
 
         def refuse(*args):
             raise AssertionError("exact scalar predicate called")
 
         for name in ("contains", "out_width", "has_grid_point"):
             monkeypatch.setattr(G, name, refuse)
-        red = reduce_instance(objects)
-        assert (red.candidates, red.signatures, red.full_mask) == expected
+        assert_matches_points(reduce_instance(objects), masks)
 
 
 def common_point_instances(d):
@@ -274,10 +293,9 @@ class TestFullCover:
             with monkeypatch.context() as patch:
                 patch.setattr(oracle, "_find_full_cover", lambda objects: None)
                 swept = reduce_instance(objects)
-            assert (swept.candidates, swept.signatures, swept.full_mask) == \
-                (red.candidates, red.signatures, red.full_mask), objects
-            assert oracle._find_full_cover(objects) == swept.candidates[0]
-            assert_sweep_matches_points(objects)
+            masks = masks_by_point(objects)
+            assert_matches_points(red, masks)
+            assert_matches_points(swept, masks)
 
 
 class TestLargeObjects:
@@ -395,17 +413,35 @@ class TestExact:
             assert res.points == tuple(sorted(res.points))
 
     def test_five_hundred_objects_certified(self):
-        """500 objects, 821 candidates: plain branch and bound was still
-        inexact after 100k nodes and 10 s."""
+        """500 objects, 2268 swept candidates (821 undominated): plain
+        branch and bound was still inexact after 100k nodes and 10 s."""
         inst = gen_random(2, 256, SQRT2, ("ball", "cube", "box"), 500,
                           seed=1, max_width=64)
         red = reduce_instance(inst.objects)
-        assert len(red.candidates) == 821
+        assert len(red.candidates) == 2268
         t0 = time.perf_counter()
         res = exact_min_hitting_set(red)
         assert time.perf_counter() - t0 < 2.0
         assert res.exact and res.size == res.lower_bound == 238
         assert verify_hitting_set(inst.objects, res.points)
+
+    def test_three_thousand_objects_certified(self):
+        """The engine's scale: 3000 objects, nearly all in one component,
+        reduced and solved exactly within a generous time guard.  Every
+        point an object holds lies in its integer corners, so each object
+        is verified against those points only (all pairs take seconds)."""
+        inst = gen_random(2, 256, SQRT2, count=3000, seed=1, max_width=64)
+        t0 = time.perf_counter()
+        res = exact_min_hitting_set(reduce_instance(inst.objects))
+        assert time.perf_counter() - t0 < 8.0
+        assert res.exact and res.size == res.lower_bound == 1025
+        points = res.points  # sorted
+        for o in inst.objects:
+            (x0, y0), (x1, y1) = G.int_corners(o)
+            slab = points[bisect_left(points, (x0,)):
+                          bisect_left(points, (x1 + 1,))]
+            near = [p for p in slab if y0 <= p[1] <= y1]
+            assert verify_hitting_set([o], near), o
 
     def test_deterministic_tie_break(self):
         objects = [Cube((0, 0), 4), Cube((4, 4), 4)]
