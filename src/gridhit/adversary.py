@@ -11,6 +11,8 @@ at a rate governed only by the grid bound and the base shape's fatness.
 Ball games leave the rationals: the inscribed cube of a ball has
 quadratic-irrational corners, and every later object inherits them.  The
 exact scalars keep the recurrence an identity rather than an estimate.
+Each step works on the shapes' stored numerators (see ``geometry``), so
+a cube or box game computes its cells and objects in ints.
 """
 
 from __future__ import annotations
@@ -58,17 +60,26 @@ class GameSummary:
 def initial_object(grid: GridSpec, base: FatObject) -> FatObject:
     """The dilation of the base shape whose enclosing cube is the whole
     open grid cube."""
-    ec = geometry.enclosing_cube(base)
-    if len(ec.corner) != grid.d:
+    if geometry.dimension(base) != grid.d:
         raise ValueError(
-            f"base shape dimension {len(ec.corner)} != grid dimension {grid.d}")
-    beta = grid.N / ec.width
-    v = tuple(-beta * c for c in ec.corner)
-    first = geometry.dilate(base, beta, v)
-    got = geometry.enclosing_cube(first)
-    if got.width != grid.N or any(c != 0 for c in got.corner):
+            f"base shape dimension {geometry.dimension(base)} != grid "
+            f"dimension {grid.d}")
+    whole = Cube((0,) * grid.d, grid.N)
+    first = geometry.fit(base, geometry.enclosing_cube(base), whole)
+    if geometry.enclosing_cube(first) != whole:
         raise InvariantViolation("initial dilation missed the grid cube")
     return first
+
+
+def _floor_div(a, b) -> tuple[int, bool]:
+    """floor(a / b) for b > 0, and whether a / b is an integer: by divmod
+    on ints, else by the floor of the exact quotient."""
+    if type(a) is int and type(b) is int:
+        h, r = divmod(a, b)
+        return h, not r
+    t = a / b
+    h = floor(t)
+    return h, t == h
 
 
 def find_empty_subcube(c: Cube, points: list[Point]) -> Cube:
@@ -79,26 +90,31 @@ def find_empty_subcube(c: Cube, points: list[Point]) -> Cube:
     blocks at most the one open cell its coordinate falls strictly inside
     (a coordinate on a cell boundary blocks neither neighbour), so some
     cell index is free.  The smallest free index is taken on every axis.
+
+    The cells are computed on c's stored numerators.  Over D = den *
+    (k + 1) and with w = hi - lo, cell h of an axis runs from lo * (k + 1)
+    + h * w to that plus w, and a coordinate x sits at x * D, so its cell
+    index is the floor of its offset from the first cell over w.
     """
     k = len(points)
-    cell = c.width / (k + 1)
-    corner = []
-    for axis, base in enumerate(c.corner):
+    w = c.hi[0] - c.lo[0]
+    den = c.den * (k + 1)
+    lows = []
+    for axis, base in enumerate(c.lo):
+        start = base * (k + 1)
         blocked = set()
         for p in points:
-            t = (p[axis] - base) / cell
-            h = floor(t)
-            if t == h:
-                continue  # exactly on a boundary
-            if 0 <= h <= k:
+            h, on_boundary = _floor_div(p[axis] * den - start, w)
+            if not on_boundary and 0 <= h <= k:
                 blocked.add(h)
         for h in range(k + 1):
             if h not in blocked:
-                corner.append(base + h * cell)
+                lows.append(start + h * w)
                 break
         else:
             raise InvariantViolation("pigeonhole failed; too many points")
-    return Cube(tuple(corner), cell)
+    return geometry.from_numerators(Cube, den, tuple(lows),
+                                    tuple(a + w for a in lows))
 
 
 def new_game(grid: GridSpec, base: FatObject) -> GameState:
@@ -145,10 +161,7 @@ def next_object(state: GameState,
         inner, list(geometry.grid_points_among(inner, new_pts)))
     state.empty_cells.append(cell)
 
-    base_ec = state.base_cube
-    beta = cell.width / base_ec.width
-    v = tuple(cc - beta * bc for cc, bc in zip(cell.corner, base_ec.corner))
-    candidate = geometry.dilate(state.base, beta, v)
+    candidate = geometry.fit(state.base, state.base_cube, cell)
 
     if not geometry.has_grid_point(candidate):
         state.finished = True

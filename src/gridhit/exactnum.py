@@ -2,7 +2,11 @@
 
 Every width, coordinate and fatness value in this package is an exact
 scalar: an int, a Fraction, or a SqrtExt value ``a + b*sqrt(s)`` with
-rational a, b and integer s.  The extension field shows up naturally: the
+rational a, b and integer s.  Shapes store theirs once, as numerators
+over one int denominator (see ``geometry``): a plain int for a rational
+value, and a SqrtExt with integral a and b otherwise, so rational shapes
+compute in ints and Fractions appear only where values enter or leave.
+The extension field shows up naturally: the
 fatness of a d-ball is sqrt(d), and the largest axis-parallel cube
 inscribed in a ball has corners involving sqrt(d).  Keeping those values exact is what
 makes open-set membership and the game recurrences deterministic; floats

@@ -10,6 +10,16 @@ Shapes are open sets: strict inequalities on every face and boundary.
 Three shapes are supported: cube, ball and axis-parallel box.  Every
 predicate is exact: coordinates and widths are ints, Fractions, or
 quadratic irrationals (see ``exactnum``), never floats.
+
+Each shape is stored once, when it is built, as numerators over one
+positive int ``den``: a cube's or box's low and high ends per axis
+(``lo``, ``hi``), or a ball's center and radius (``ctr``, ``rad``).  A
+numerator is a plain int for rational data, and otherwise a ``SqrtExt``
+with integral parts.  The form is reduced by one gcd, so equal shapes
+store equal numbers.  Every predicate and construction below reads and
+builds this form, so a rational shape costs int arithmetic only; the
+exact scalars ``corner``, ``width``, ``widths``, ``center`` and
+``radius`` are built on demand, for output and the naive oracles.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, repeat
-from math import ceil, floor, isqrt, lcm
+from math import ceil, floor, gcd, isqrt, lcm
 from operator import le
 from typing import Iterator, Optional, Union
 
@@ -51,52 +61,166 @@ class GridSpec:
                 and all(type(c) is int and 1 <= c <= self.N - 1 for c in p))
 
 
-def _scalar_tuple(values) -> tuple[Scalar, ...]:
-    return tuple(as_scalar(v) for v in values)
+# -- the stored form ------------------------------------------------------------
+
+def _common_den(values) -> int:
+    """The lcm of the denominators of the values' rational parts (a
+    SqrtExt has two): the least den that makes every value * den a
+    numerator."""
+    return lcm(*(p.denominator for v in values
+                 for p in ((v.a, v.b) if isinstance(v, SqrtExt) else (v,))))
 
 
-@dataclass(frozen=True)
-class Cube:
+def _scaled(x: Scalar, den: int):
+    """x * den, for a den that ``_common_den`` allows, as a numerator."""
+    if isinstance(x, SqrtExt):
+        return SqrtExt(Fraction(_scaled(x.a, den)), Fraction(_scaled(x.b, den)),
+                       x.s)
+    return x.numerator * (den // x.denominator)
+
+
+def _quotient(n, den):
+    """The exact scalar n / den."""
+    return Fraction(n, den) if type(n) is int and type(den) is int else n / den
+
+
+def _store(o, den: int, first: tuple, second) -> None:
+    """Store numerators over ``den`` on a new shape, reduced by one gcd.
+    ``first`` and ``second`` are a cube's or box's low and high ends, or
+    a ball's center and radius.  SqrtExt arithmetic returns a rational
+    result as a Fraction, so an integral Fraction is stored as its int."""
+    nums = [n if type(n) is int or isinstance(n, SqrtExt) else n.numerator
+            for n in (*first, *(second if type(second) is tuple
+                                else (second,)))]
+    g = gcd(den, *(p for n in nums for p in (
+        (n,) if type(n) is int else (n.a.numerator, n.b.numerator))))
+    if g > 1:
+        den //= g
+        nums = [n // g if type(n) is int else
+                SqrtExt(Fraction(n.a.numerator // g),
+                        Fraction(n.b.numerator // g), n.s) for n in nums]
+    d = len(first)
+    f0, f1 = o._fields
+    put = object.__setattr__
+    put(o, "den", den)
+    put(o, f0, tuple(nums[:d]))
+    put(o, f1, tuple(nums[d:]) if type(second) is tuple else nums[d])
+
+
+def from_numerators(cls, den: int, first: tuple, second):
+    """The shape of class ``cls`` with the given numerators over ``den``
+    (see ``_store``), built without the scalar constructor."""
+    o = object.__new__(cls)
+    _store(o, den, first, second)
+    return o
+
+
+class _Shape:
+    """Immutable: the stored form is fixed when the shape is built, and
+    ``int_corners`` is kept on it on first use."""
+
+    __slots__ = ("den", "_int_corners")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self):
+        return (self.den, *(getattr(self, f) for f in self._fields))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class _Rect(_Shape):
+    """A cube or box: ``lo[i] / den < x_i < hi[i] / den`` on every axis."""
+
+    __slots__ = ("lo", "hi")
+    _fields = __slots__
+
+    @property
+    def corner(self) -> tuple[Scalar, ...]:
+        return tuple(_quotient(n, self.den) for n in self.lo)
+
+
+class Cube(_Rect):
     """Open axis-parallel cube: corner_i < x_i < corner_i + width."""
 
-    corner: tuple[Scalar, ...]
-    width: Scalar
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "corner", _scalar_tuple(self.corner))
-        object.__setattr__(self, "width", as_scalar(self.width))
-        if not self.width > 0:
-            raise ValueError(f"cube width must be positive, got {self.width}")
+    def __init__(self, corner, width):
+        corner = tuple(map(as_scalar, corner))
+        width = as_scalar(width)
+        den = _common_den((*corner, width))
+        w = _scaled(width, den)
+        if not w > 0:
+            raise ValueError(f"cube width must be positive, got {width}")
+        lo = tuple(_scaled(c, den) for c in corner)
+        _store(self, den, lo, tuple(c + w for c in lo))
 
+    @property
+    def width(self) -> Scalar:
+        return _quotient(self.hi[0] - self.lo[0], self.den)
 
-@dataclass(frozen=True)
-class Ball:
-    """Open ball: sum((x_i - center_i)^2) < radius^2."""
-
-    center: tuple[Scalar, ...]
-    radius: Scalar
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", _scalar_tuple(self.center))
-        object.__setattr__(self, "radius", as_scalar(self.radius))
-        if not self.radius > 0:
-            raise ValueError(f"ball radius must be positive, got {self.radius}")
+    def __repr__(self):
+        return f"Cube(corner={self.corner!r}, width={self.width!r})"
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(_Rect):
     """Open axis-parallel box with per-axis widths."""
 
-    corner: tuple[Scalar, ...]
-    widths: tuple[Scalar, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "corner", _scalar_tuple(self.corner))
-        object.__setattr__(self, "widths", _scalar_tuple(self.widths))
-        if len(self.corner) != len(self.widths):
+    def __init__(self, corner, widths):
+        corner = tuple(map(as_scalar, corner))
+        widths = tuple(map(as_scalar, widths))
+        if len(corner) != len(widths):
             raise ValueError("corner and widths must have the same dimension")
-        if not all(w > 0 for w in self.widths):
+        den = _common_den((*corner, *widths))
+        ws = [_scaled(w, den) for w in widths]
+        if not all(w > 0 for w in ws):
             raise ValueError("box widths must be positive")
+        lo = tuple(_scaled(c, den) for c in corner)
+        _store(self, den, lo, tuple(c + w for c, w in zip(lo, ws)))
+
+    @property
+    def widths(self) -> tuple[Scalar, ...]:
+        return tuple(_quotient(h - l, self.den)
+                     for l, h in zip(self.lo, self.hi))
+
+    def __repr__(self):
+        return f"Box(corner={self.corner!r}, widths={self.widths!r})"
+
+
+class Ball(_Shape):
+    """Open ball: sum((x_i - center_i)^2) < radius^2."""
+
+    __slots__ = ("ctr", "rad")
+    _fields = __slots__
+
+    def __init__(self, center, radius):
+        center = tuple(map(as_scalar, center))
+        radius = as_scalar(radius)
+        den = _common_den((*center, radius))
+        r = _scaled(radius, den)
+        if not r > 0:
+            raise ValueError(f"ball radius must be positive, got {radius}")
+        _store(self, den, tuple(_scaled(c, den) for c in center), r)
+
+    @property
+    def center(self) -> tuple[Scalar, ...]:
+        return tuple(_quotient(n, self.den) for n in self.ctr)
+
+    @property
+    def radius(self) -> Scalar:
+        return _quotient(self.rad, self.den)
+
+    def __repr__(self):
+        return f"Ball(center={self.center!r}, radius={self.radius!r})"
 
 
 FatObject = Union[Cube, Ball, Box]
@@ -128,30 +252,33 @@ def _max_coord_level(a: int, b: int) -> int:
 
 def dimension(o: FatObject) -> int:
     if isinstance(o, Ball):
-        return len(o.center)
-    return len(o.corner)
+        return len(o.ctr)
+    return len(o.lo)
 
 
 def contains(o: FatObject, p) -> bool:
     """Strict (open-set) membership; p may have any exact scalar coords."""
-    if isinstance(o, Cube):
-        return all(c < x < c + o.width for c, x in zip(o.corner, p))
+    den = o.den
     if isinstance(o, Ball):
         acc = 0
-        for c, x in zip(o.center, p):
-            t = x - c
+        for c, x in zip(o.ctr, p):
+            t = x * den - c
             acc = acc + t * t
-        return acc < o.radius * o.radius
-    return all(c < x < c + w for c, x, w in zip(o.corner, p, o.widths))
+        return acc < o.rad * o.rad
+    return all(a < x * den < b for a, x, b in zip(o.lo, p, o.hi))
 
 
-def _extent(o: FatObject) -> list[tuple[Scalar, Scalar]]:
-    """Closed per-axis bounds [lo_i, hi_i] that contain the object."""
-    if isinstance(o, Cube):
-        return [(c, c + o.width) for c in o.corner]
+def _extent(o: FatObject) -> list[tuple]:
+    """Closed per-axis bounds [lo_i, hi_i] that contain the object, as
+    numerators over ``o.den``."""
     if isinstance(o, Ball):
-        return [(c - o.radius, c + o.radius) for c in o.center]
-    return [(c, c + w) for c, w in zip(o.corner, o.widths)]
+        r = o.rad
+        return [(c - r, c + r) for c in o.ctr]
+    return list(zip(o.lo, o.hi))
+
+
+def _widths(o: _Rect) -> list:
+    return [h - l for l, h in zip(o.lo, o.hi)]
 
 
 def enclosing_cube(o: FatObject) -> Cube:
@@ -160,10 +287,13 @@ def enclosing_cube(o: FatObject) -> Cube:
     if isinstance(o, Cube):
         return o
     if isinstance(o, Ball):
-        return Cube(tuple(c - o.radius for c in o.center), 2 * o.radius)
-    wmax = max(o.widths)
-    corner = tuple(c - (wmax - w) / 2 for c, w in zip(o.corner, o.widths))
-    return Cube(corner, wmax)
+        lo, hi = zip(*_extent(o))
+        return from_numerators(Cube, o.den, lo, hi)
+    ws = _widths(o)
+    wmax = max(ws)
+    # Over 2*den, the corner moves down by half of what each axis lacks.
+    lo = tuple(2 * c - (wmax - w) for c, w in zip(o.lo, ws))
+    return from_numerators(Cube, 2 * o.den, lo, tuple(c + 2 * wmax for c in lo))
 
 
 def inscribed_cube(o: FatObject) -> Cube:
@@ -175,11 +305,16 @@ def inscribed_cube(o: FatObject) -> Cube:
     if isinstance(o, Cube):
         return o
     if isinstance(o, Ball):
-        half = o.radius / sqrt_exact(len(o.center))
-        return Cube(tuple(c - half for c in o.center), 2 * half)
-    wmin = min(o.widths)
-    corner = tuple(c + (w - wmin) / 2 for c, w in zip(o.corner, o.widths))
-    return Cube(corner, wmin)
+        # Over den*d the half-width r/sqrt(d) is r*sqrt(d).
+        d = len(o.ctr)
+        half = o.rad * sqrt_exact(d)
+        lo = tuple(c * d - half for c in o.ctr)
+        return from_numerators(Cube, o.den * d, lo,
+                               tuple(c + 2 * half for c in lo))
+    ws = _widths(o)
+    wmin = min(ws)
+    lo = tuple(2 * c + (w - wmin) for c, w in zip(o.lo, ws))
+    return from_numerators(Cube, 2 * o.den, lo, tuple(c + 2 * wmin for c in lo))
 
 
 def out_width(o: FatObject) -> Scalar:
@@ -190,50 +325,82 @@ def in_width(o: FatObject) -> Scalar:
     return inscribed_cube(o).width
 
 
+def _fatness_sq(o: FatObject) -> tuple:
+    """The squared fatness as a numerator and denominator."""
+    if isinstance(o, Cube):
+        return 1, 1
+    if isinstance(o, Ball):
+        return len(o.ctr), 1
+    ws = _widths(o)
+    return max(ws) ** 2, min(ws) ** 2
+
+
 def fatness_sq(o: FatObject) -> Scalar:
     """Squared fatness (out_width/in_width)^2; squaring keeps the value
     rational for balls, whose fatness is sqrt(d)."""
-    if isinstance(o, Cube):
-        return Fraction(1)
-    if isinstance(o, Ball):
-        return Fraction(len(o.center))
-    r = max(o.widths) / min(o.widths)
-    return r * r
+    return _quotient(*_fatness_sq(o))
 
 
 def validate_fatness(o: FatObject, family_fatness_sq: Scalar) -> None:
-    if fatness_sq(o) > family_fatness_sq:
+    num, den = _fatness_sq(o)
+    q = _common_den((family_fatness_sq,))
+    if num * q > _scaled(family_fatness_sq, q) * den:
         raise FatnessViolation(
             f"object fatness^2 {fatness_sq(o)} exceeds the declared bound "
             f"{family_fatness_sq}")
 
 
 def dilate(o: FatObject, beta: Scalar, v) -> FatObject:
-    """Scale by beta > 0 and translate by v; fatness is preserved."""
-    beta = as_scalar(beta)
-    if not beta > 0:
+    """Scale by beta > 0 and translate by v; fatness is preserved.  This
+    fits the unit cube onto the cube with corner v and width beta."""
+    if not as_scalar(beta) > 0:
         raise ValueError(f"dilation scale must be positive, got {beta}")
-    v = _scalar_tuple(v)
+    v = tuple(v)
     if len(v) != dimension(o):
         raise ValueError("translation vector has wrong dimension")
-    if isinstance(o, Cube):
-        return Cube(tuple(beta * c + t for c, t in zip(o.corner, v)),
-                    beta * o.width)
+    return fit(o, Cube((0,) * len(v), 1), Cube(v, beta))
+
+
+def fit(o: FatObject, src: Cube, dst: Cube) -> FatObject:
+    """The dilation of o that maps the cube ``src`` onto the cube ``dst``.
+
+    With numerator widths ws and wd, a numerator n over o.den maps on
+    axis i to wd * (src.den * n - src.lo[i] * o.den) + dst.lo[i] * ws *
+    o.den over ws * dst.den * o.den, and a ball's radius scales by
+    wd * src.den.  An irrational ws is cleared by its conjugate.
+    """
+    ws = src.hi[0] - src.lo[0]
+    wd = dst.hi[0] - dst.lo[0]
+    if isinstance(ws, SqrtExt):
+        conj = SqrtExt(ws.a, -ws.b, ws.s)
+        wd, ws = wd * conj, ws * conj  # ws * conj is a nonzero rational
+        if ws < 0:
+            wd, ws = -wd, -ws
+    # An integral Fraction, as a difference of SqrtExt ends may be, is
+    # its numerator.
+    step = ws.numerator * o.den
+
+    def image(nums):
+        return tuple(wd * (src.den * n - b * o.den) + a * step
+                     for n, a, b in zip(nums, dst.lo, src.lo))
+
+    den = step * dst.den
     if isinstance(o, Ball):
-        return Ball(tuple(beta * c + t for c, t in zip(o.center, v)),
-                    beta * o.radius)
-    return Box(tuple(beta * c + t for c, t in zip(o.corner, v)),
-               tuple(beta * w for w in o.widths))
+        return from_numerators(Ball, den, image(o.ctr), wd * src.den * o.rad)
+    return from_numerators(type(o), den, image(o.lo), image(o.hi))
 
 
 def validate_in_grid(o: FatObject, grid: GridSpec) -> None:
     if dimension(o) != grid.d:
         raise GridBoundsError(
             f"object dimension {dimension(o)} != grid dimension {grid.d}")
+    den = o.den
+    top = grid.N * den
     for lo, hi in _extent(o):
-        if lo < 0 or hi > grid.N:
+        if lo < 0 or hi > top:
             raise GridBoundsError(
-                f"object extent [{lo}, {hi}] leaves [0, {grid.N}]")
+                f"object extent [{_quotient(lo, den)}, {_quotient(hi, den)}] "
+                f"leaves [0, {grid.N}]")
 
 
 # -- lattice enumeration --------------------------------------------------------
@@ -244,7 +411,10 @@ def validate_in_grid(o: FatObject, grid: GridSpec) -> None:
 # from its corners alone, ``find_grid_point`` tests the points around the
 # center, and ``grid_points_among`` tests given points against the
 # corners first; ``grid_points_among_sorted`` tests only the slab of a
-# sorted list that the corners' first axis allows.
+# sorted list that the corners' first axis allows.  All of them read the
+# stored numerators: the integer corners are floor divisions by ``den``,
+# and a ball row scales its point by ``den`` instead of dividing the
+# ball.
 
 def int_corners(o: FatObject) -> tuple[Point, Point] | None:
     """Low and high corners of the object's integer candidate box: per
@@ -254,14 +424,18 @@ def int_corners(o: FatObject) -> tuple[Point, Point] | None:
     contains no grid point.  Every grid point of the object lies in the
     box, so two objects whose boxes are disjoint share no grid point.  For
     a cube or box the box is exactly its grid points: an integer x >= 1
-    has c < x < c + w iff floor(c) + 1 <= x <= ceil(c + w) - 1.  Computed
-    on first use and kept on the object, which is immutable.
+    has lo < x * den < hi iff floor(lo / den) + 1 <= x <= ceil(hi / den) - 1.
+    Both roundings are taken on the stored numerators, floor(lo) // den
+    and -(-ceil(hi) // den), so a rational shape's costs int divisions
+    only.  Computed on first use and kept on the object, which is
+    immutable.
     """
     try:
         return o._int_corners
     except AttributeError:
         pass
-    ranges = [(max(1, floor(lo) + 1), ceil(hi) - 1)
+    den = o.den
+    ranges = [(max(1, floor(lo) // den + 1), -(-ceil(hi) // den) - 1)
               for lo, hi in _extent(o)]
     corners = (None if any(a > b for a, b in ranges)
                else tuple(zip(*ranges)))
@@ -305,29 +479,6 @@ def grid_points_among_sorted(o: FatObject,
     return grid_points_among(o, points)
 
 
-def _integral(x: Scalar):
-    """An integral rational as an int; a SqrtExt as it is."""
-    return x if isinstance(x, SqrtExt) else int(x)
-
-
-def _ball_int_args(o: Ball):
-    """Scale a ball by the lcm ``den`` of all its rational parts (a SqrtExt
-    has two): center*den and (radius*den)**2 are ints, or SqrtExt values
-    with integer parts.  Returns the center, den and squared radius.
-    Computed on first use and kept on the ball, as ``int_corners`` is."""
-    try:
-        return o._int_args
-    except AttributeError:
-        pass
-    parts = [p for v in (*o.center, o.radius)
-             for p in ((v.a, v.b) if isinstance(v, SqrtExt) else (v,))]
-    den = lcm(*(Fraction(p).denominator for p in parts))
-    cnum = tuple(_integral(c * den) for c in o.center)
-    args = cnum, den, _integral((o.radius * den) ** 2)
-    object.__setattr__(o, "_int_args", args)
-    return args
-
-
 def _align(a: int, stride: int) -> int:
     """Smallest multiple of stride that is >= a."""
     return -(-a // stride) * stride
@@ -369,8 +520,7 @@ def grid_rows(o: FatObject, box=None, stride: int = 1) -> Iterator[Row]:
     if box is not None:
         lo, hi = tuple(map(max, lo, box[0])), tuple(map(min, hi, box[1]))
     if isinstance(o, Ball):
-        cnum, den, rr = _ball_int_args(o)
-        return _ball_rows(lo, hi, stride, cnum, den, rr, ())
+        return _ball_rows(lo, hi, stride, o.ctr, o.den, o.rad * o.rad, ())
     axes = [range(_align(a, stride), b + 1, stride) for a, b in zip(lo, hi)]
     if not all(axes):
         # Checked up front: the lattice would otherwise walk every prefix
@@ -381,9 +531,9 @@ def grid_rows(o: FatObject, box=None, stride: int = 1) -> Iterator[Row]:
 
 
 def _ball_rows(lo, hi, stride, cnum, den, rem, prefix) -> Iterator[Row]:
-    """Rows of the scaled ball sum((x_i*den - cnum_i)**2) < rr within the
-    corners ``lo`` and ``hi``, where ``rem`` is rr minus the prefix's
-    share of the sum.
+    """Rows of the stored ball sum((x_i*den - cnum_i)**2) < rad**2 within
+    the corners ``lo`` and ``hi``, where ``rem`` is rad**2 minus the
+    prefix's share of the sum.
 
     The row is |x*den - c| < sqrt(rem), with u < sqrt(rem) <= u + 1 for
     the u below.  For an integer c that is |x*den - c| <= u.  For an
@@ -435,8 +585,10 @@ def find_grid_point(o: FatObject) -> Optional[Point]:
     so the object holds that point whenever it holds any integer point
     >= 1.
     """
-    ec = enclosing_cube(o)
-    mids = [floor(c + ec.width / 2) for c in ec.corner]
+    if isinstance(o, Ball):
+        mids = [floor(c) // o.den for c in o.ctr]
+    else:
+        mids = [floor(a + b) // (2 * o.den) for a, b in zip(o.lo, o.hi)]
     for p in product(*((max(1, m), max(1, m + 1)) for m in mids)):
         if contains(o, p):
             return p
@@ -444,7 +596,7 @@ def find_grid_point(o: FatObject) -> Optional[Point]:
 
 
 def has_grid_point(o: FatObject) -> bool:
-    if isinstance(o, (Cube, Box)):
+    if isinstance(o, _Rect):
         # A product set has a point iff every axis has an integer.
         return int_corners(o) is not None
     return find_grid_point(o) is not None
@@ -462,7 +614,7 @@ def object_level(o: FatObject) -> int:
     if corners is None:
         raise EmptyObjectError("object contains no grid point")
     cap = min(map(_max_coord_level, *corners))
-    if isinstance(o, (Cube, Box)):
+    if isinstance(o, _Rect):
         return cap
     for level in range(cap, -1, -1):
         if next(grid_rows(o, stride=1 << level), None) is not None:

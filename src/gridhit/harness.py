@@ -106,15 +106,16 @@ def run_online(inst: InstanceFile, transcript_path=None) -> Report:
     opt_exact = False
     ratio = None
     within = None
-    _, bound = engine.ratio_bound(inst.grid, inst.fatness)
     if inst.objects:
         reduced = oracle.reduce_instance(inst.objects)
         result = oracle.exact_min_hitting_set(reduced)
         opt_size = result.size
         opt_exact = result.exact
         rr = eng.ratio_report(opt_size)
-        ratio = rr.ratio
+        ratio, bound = rr.ratio, rr.bound
         within = rr.within_bound if opt_exact else None
+    else:
+        _, bound = engine.ratio_bound(inst.grid, inst.fatness)
     return Report(
         d=inst.grid.d, N=inst.grid.N, fatness=inst.fatness,
         object_count=len(inst.objects), alg_size=len(eng.chosen),

@@ -27,6 +27,7 @@ are also provided, the latter as the independent cross-check.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
@@ -403,5 +404,22 @@ def exhaustive_min_hitting_set(inst: ReducedInstance) -> HittingSetResult:
 
 
 def verify_hitting_set(objects: list[FatObject], points) -> bool:
-    """True iff every object strictly contains at least one of the points."""
-    return all(any(geometry.contains(o, p) for p in points) for o in objects)
+    """True iff every object strictly contains at least one of the grid
+    points.
+
+    The points are sorted once, and each object tests only the slab whose
+    first coordinate lies in the first axis of its ``int_corners``; the
+    exact ``contains`` decides every point of the slab.  Corners that
+    were too tight could only make the check fail, never pass.
+    """
+    points = sorted(points)
+    for o in objects:
+        corners = geometry.int_corners(o)
+        if corners is None:
+            return False
+        lo, hi = corners
+        slab = points[bisect_left(points, (lo[0],)):
+                      bisect_left(points, (hi[0] + 1,))]
+        if not any(geometry.contains(o, p) for p in slab):
+            return False
+    return True

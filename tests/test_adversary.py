@@ -20,7 +20,12 @@ from gridhit.engine import EngineState
 from gridhit.errors import InvariantViolation, ProtocolError
 from gridhit.exactnum import sqrt_exact
 from gridhit.geometry import Ball, Box, Cube, GridSpec
-from gridhit.harness import base_shape, engine_opponent, first_point_opponent
+from gridhit.harness import (
+    base_shape,
+    engine_opponent,
+    first_point_opponent,
+    run_adversary,
+)
 
 F = Fraction
 
@@ -240,3 +245,44 @@ class TestDeterminism:
                                      engine_opponent(eng))
             runs.append((state.objects, state.responses, state.empty_cells))
         assert runs[0] == runs[1]
+
+
+# Fraction's arithmetic, comparison and rounding operators.
+FRACTION_OPS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+    "__mod__", "__rmod__", "__divmod__", "__rdivmod__", "__pow__",
+    "__rpow__", "__neg__", "__pos__", "__abs__", "__eq__", "__lt__",
+    "__le__", "__gt__", "__ge__", "__floor__", "__ceil__", "__round__",
+    "__trunc__")
+
+
+class TestRationalGameInInts:
+    """A rational game's step runs on the shapes' stored int numerators:
+    the Fraction operator calls of a whole game do not grow with its
+    number of steps, which doubles with log2 N below."""
+
+    @staticmethod
+    def fraction_calls(monkeypatch, d, N, shape):
+        calls = [0]
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[0] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with monkeypatch.context() as m:
+            for name in FRACTION_OPS:
+                m.setattr(F, name, counted(getattr(F, name)))
+            summary, _ = run_adversary(d, N, shape)
+        return calls[0], summary.steps
+
+    @pytest.mark.parametrize("d, log_n, shape",
+                             [(2, 64, "cube"), (3, 256, "box")])
+    def test_calls_do_not_grow_with_steps(self, monkeypatch, d, log_n, shape):
+        small, steps = self.fraction_calls(monkeypatch, d, 1 << log_n, shape)
+        large, more_steps = self.fraction_calls(monkeypatch, d,
+                                                1 << 2 * log_n, shape)
+        assert more_steps >= 2 * steps - 1
+        assert large <= small

@@ -5,7 +5,6 @@ oracles defined at the top of this file (filter-everything enumeration,
 division-loop levels); the fast paths must reproduce them.
 """
 
-import dataclasses
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor
@@ -14,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridhit import geometry as G
+from gridhit.adversary import find_empty_subcube
 from gridhit.errors import EmptyObjectError, FatnessViolation, GridBoundsError
 from gridhit.exactnum import is_rational, sqrt_exact
 from gridhit.geometry import Ball, Box, Cube, GridSpec
@@ -42,6 +42,16 @@ def naive_contains(o, p):
     if isinstance(o, Ball):
         return sum((F(x) - c) ** 2 for c, x in zip(o.center, p)) < o.radius ** 2
     return all(c < x < c + w for c, x, w in zip(o.corner, p, o.widths))
+
+
+def rebuilt(o):
+    """A copy of o built again through its public constructor, so that
+    nothing computed on o is carried over."""
+    if isinstance(o, Cube):
+        return Cube(o.corner, o.width)
+    if isinstance(o, Ball):
+        return Ball(o.center, o.radius)
+    return Box(o.corner, o.widths)
 
 
 def naive_interior(o, bound=80):
@@ -291,7 +301,7 @@ def shapes_with_points(draw):
         o = Ball(tuple(c + w + shift for c in corner), w)
     # Corners of a copy, so that o's own corners are first computed under
     # test.
-    corners = G.int_corners(dataclasses.replace(o)) or ((1,) * d,) * 2
+    corners = G.int_corners(rebuilt(o)) or ((1,) * d,) * 2
     axes = [st.sampled_from(sorted({a, b, b + 1} | ({a - 1} - {0})))
             | st.integers(1, 20) for a, b in zip(*corners)]
     points = draw(st.lists(st.tuples(*axes), max_size=12))
@@ -311,7 +321,7 @@ class TestGridPointsAmong:
         stored = G.int_corners(o)
         assert isinstance(stored, (tuple, type(None)))
         assert G.int_corners(o) is stored
-        assert G.int_corners(dataclasses.replace(o)) == stored
+        assert G.int_corners(rebuilt(o)) == stored
 
     def test_no_ranges_and_no_points(self):
         o = Cube((F(1, 4), F(1, 4)), F(1, 2))
@@ -584,3 +594,240 @@ class TestDyadicWidthBounds:
                     for cy in range(N - width + 1):
                         cube = Cube((cx, cy), width)
                         assert len(G.points_of_level(cube, level)) <= cap
+
+
+# -- the stored form against Fraction references ------------------------------
+#
+# Each reference below computes from the exact scalars that a shape's
+# properties rebuild (``corner``, ``width``, ``widths``, ``center``,
+# ``radius``), with Fraction and SqrtExt arithmetic, as the shapes did
+# before they were stored as numerators over one denominator.
+
+def ref_extent(o):
+    if isinstance(o, Cube):
+        return [(c, c + o.width) for c in o.corner]
+    if isinstance(o, Ball):
+        return [(c - o.radius, c + o.radius) for c in o.center]
+    return [(c, c + w) for c, w in zip(o.corner, o.widths)]
+
+
+def ref_int_corners(o):
+    ranges = [(max(1, floor(lo) + 1), ceil(hi) - 1) for lo, hi in ref_extent(o)]
+    return None if any(a > b for a, b in ranges) else tuple(zip(*ranges))
+
+
+def ref_enclosing_cube(o):
+    if isinstance(o, Cube):
+        return o
+    if isinstance(o, Ball):
+        return Cube(tuple(c - o.radius for c in o.center), 2 * o.radius)
+    wmax = max(o.widths)
+    return Cube(tuple(c - (wmax - w) / 2 for c, w in zip(o.corner, o.widths)),
+                wmax)
+
+
+def ref_inscribed_cube(o):
+    if isinstance(o, Cube):
+        return o
+    if isinstance(o, Ball):
+        half = o.radius / sqrt_exact(len(o.center))
+        return Cube(tuple(c - half for c in o.center), 2 * half)
+    wmin = min(o.widths)
+    return Cube(tuple(c + (w - wmin) / 2 for c, w in zip(o.corner, o.widths)),
+                wmin)
+
+
+def ref_fatness_sq(o):
+    if isinstance(o, Cube):
+        return F(1)
+    if isinstance(o, Ball):
+        return F(len(o.center))
+    r = max(o.widths) / min(o.widths)
+    return r * r
+
+
+def ref_dilate(o, beta, v):
+    if isinstance(o, Cube):
+        return Cube(tuple(beta * c + t for c, t in zip(o.corner, v)),
+                    beta * o.width)
+    if isinstance(o, Ball):
+        return Ball(tuple(beta * c + t for c, t in zip(o.center, v)),
+                    beta * o.radius)
+    return Box(tuple(beta * c + t for c, t in zip(o.corner, v)),
+               tuple(beta * w for w in o.widths))
+
+
+def ref_find_empty_subcube(c, points):
+    k = len(points)
+    cell = c.width / (k + 1)
+    corner = []
+    for axis, base in enumerate(c.corner):
+        blocked = set()
+        for p in points:
+            t = (p[axis] - base) / cell
+            h = floor(t)
+            if t != h and 0 <= h <= k:
+                blocked.add(h)
+        corner.append(base + min(set(range(k + 1)) - blocked) * cell)
+    return Cube(tuple(corner), cell)
+
+
+_DENS = st.sampled_from([1, 2, 3, 4, 6, 8, 64])
+# Corners below 1, fractional ones, and ones up to 2**512.
+_any_coord = (st.builds(F, st.integers(-24, 160), _DENS)
+              | st.builds(F, st.integers(0, 2**512), _DENS))
+_any_size = (st.builds(F, st.integers(1, 96), _DENS)
+             | st.builds(F, st.integers(1, 2**512), _DENS))
+
+
+@st.composite
+def stored_shapes(draw, kinds=("cube", "box", "ball")):
+    """A rational or irrational cube, box or ball in d = 1..3.  An
+    irrational one adds multiples of sqrt(s) to its corner or center and
+    its sizes, with s = max(d, 2), so that a ball's inscribed cube stays
+    in one quadratic field."""
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(kinds))
+    root = sqrt_exact(max(d, 2)) if draw(st.booleans()) else F(0)
+
+    def shift(low=-3):
+        return draw(st.integers(low, 3)) * root / draw(st.integers(1, 9))
+
+    corner = tuple(draw(_any_coord) + shift() for _ in range(d))
+    if kind == "cube":
+        return Cube(corner, draw(_any_size) + shift(0))
+    if kind == "ball":
+        return Ball(corner, draw(_any_size) + shift(0))
+    return Box(corner, tuple(draw(_any_size) + shift(0) for _ in range(d)))
+
+
+@st.composite
+def stored_shapes_with_points(draw):
+    """A shape, and points around the ends of its integer ranges, some of
+    them with fractional coordinates."""
+    o = draw(stored_shapes())
+    ends = [sorted({max(1, floor(lo)), floor(lo) + 1, ceil(hi) - 1, ceil(hi)})
+            for lo, hi in ref_extent(o)]
+    axes = [st.sampled_from(e) | st.integers(1, 20)
+            | st.builds(lambda x, q: x + F(1, q), st.sampled_from(e),
+                        st.integers(2, 5))
+            for e in ends]
+    return o, draw(st.lists(st.tuples(*axes), max_size=8))
+
+
+class TestStoredForm:
+    @settings(max_examples=300, deadline=None)
+    @given(stored_shapes_with_points())
+    def test_corners_and_membership(self, case):
+        o, points = case
+        corners = G.int_corners(o)
+        assert corners == ref_int_corners(o)
+        naive = _naive_ranges(o)
+        if all(is_rational(v) for lo_hi in ref_extent(o) for v in lo_hi):
+            assert corners == (None if not all(naive) else
+                               tuple(zip(*((r[0], r[-1]) for r in naive))))
+        elif corners is not None:
+            assert all(r.start <= a <= b < r.stop
+                       for r, a, b in zip(naive, *corners))
+        for p in points:
+            assert G.contains(o, p) == _naive_contains(o, p), p
+
+    @settings(max_examples=300, deadline=None)
+    @given(stored_shapes(), st.data())
+    def test_grid_check_and_message(self, o, data):
+        ext = ref_extent(o)
+        top = max(ceil(hi) for _, hi in ext)
+        N = data.draw(st.sampled_from(sorted({max(2, top + e)
+                                              for e in (-1, 0, 1)})))
+        grid = GridSpec(G.dimension(o), N)
+        bad = [(lo, hi) for lo, hi in ext if lo < 0 or hi > N]
+        if not bad:
+            G.validate_in_grid(o, grid)
+            return
+        with pytest.raises(GridBoundsError) as info:
+            G.validate_in_grid(o, grid)
+        assert str(info.value) == (
+            f"object extent [{bad[0][0]}, {bad[0][1]}] leaves [0, {N}]")
+
+    @settings(max_examples=300, deadline=None)
+    @given(stored_shapes(), st.data())
+    def test_constructions(self, o, data):
+        assert G.inscribed_cube(o) == ref_inscribed_cube(o)
+        assert G.enclosing_cube(o) == ref_enclosing_cube(o)
+        assert G.fatness_sq(o) == ref_fatness_sq(o)
+        bound = data.draw(st.sampled_from([F(1), F(2), F(3), F(4), F(9, 4)]))
+        if ref_fatness_sq(o) > bound:
+            with pytest.raises(FatnessViolation):
+                G.validate_fatness(o, bound)
+        else:
+            G.validate_fatness(o, bound)
+        beta = data.draw(st.builds(F, st.integers(1, 2**70), _DENS))
+        if data.draw(st.booleans()):
+            beta += sqrt_exact(max(G.dimension(o), 2)) / 7
+        v = tuple(data.draw(_any_coord) for _ in range(G.dimension(o)))
+        got = G.dilate(o, beta, v)
+        assert got == ref_dilate(o, beta, v)
+        assert G.fit(o, G.enclosing_cube(o), G.enclosing_cube(got)) == got
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 5), st.data())
+    def test_empty_subcube_on_cell_boundaries(self, k, data):
+        """Cubes whose cell boundaries fall on integers, or the inscribed
+        cube of a ball, against points on those boundaries and around."""
+        if data.draw(st.booleans()):
+            m = data.draw(st.integers(1, 4) | st.integers(1, 2**300))
+            corner = tuple(data.draw(st.integers(-3, 2**64))
+                           for _ in range(data.draw(st.integers(1, 3))))
+            c = Cube(corner, (k + 1) * m)
+            coords = [[x + j * m + e for j in range(k + 2) for e in (-1, 0, 1)]
+                      for x in corner]
+        else:
+            # A rational center is a cell boundary when k is odd.
+            c = G.inscribed_cube(data.draw(stored_shapes(kinds=("ball",))))
+            cell = c.width / (k + 1)
+            coords = [[floor(x + j * cell) + e
+                       for j in range(k + 2) for e in (0, 1)]
+                      for x in c.corner]
+        points = data.draw(st.lists(
+            st.tuples(*(st.sampled_from(a) for a in coords)),
+            min_size=k, max_size=k))
+        got = find_empty_subcube(c, points)
+        assert got == ref_find_empty_subcube(c, points)
+        assert not any(G.contains(got, p) for p in points)
+
+    @settings(max_examples=200, deadline=None)
+    @given(stored_shapes(), st.integers(2, 12))
+    def test_equal_values_store_equal_numbers(self, o, m):
+        copies = [rebuilt(o), G.dilate(o, 1, (0,) * G.dimension(o))]
+        if isinstance(o, Ball):
+            copies.append(G.from_numerators(
+                Ball, o.den * m, tuple(c * m for c in o.ctr), o.rad * m))
+        else:
+            copies.append(G.from_numerators(
+                type(o), o.den * m, tuple(x * m for x in o.lo),
+                tuple(x * m for x in o.hi)))
+        for copy in copies:
+            assert copy == o and hash(copy) == hash(o)
+            assert (copy.den, G.int_corners(copy)) == (o.den, G.int_corners(o))
+
+    def test_differently_written_scalars(self):
+        r2 = sqrt_exact(2)
+        pairs = [
+            (Cube((1, F(2, 4)), 3), Cube((F(2, 2), F(1, 2)), F(6, 2))),
+            (Box((0, F(3, 6)), (F(4, 2), 1)), Box((F(0), F(1, 2)), (2, F(5, 5)))),
+            (Ball((sqrt_exact(8) / 2, 1), F(1, 2)), Ball((r2, F(3, 3)), F(2, 4))),
+            (Cube((1 + r2 - 1, 0), 2 * r2), Cube((r2, 0), sqrt_exact(8))),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+            assert a.den == b.den
+        assert Cube((0, 0), 2) != Box((0, 0), (2, 2))
+        assert Box((0, 0), (2, 2)) != Cube((0, 0), 2)
+        assert Cube((0, 0), 2) != Cube((0, 0), 3)
+
+    def test_shapes_are_immutable(self):
+        o = Cube((0, 0), 2)
+        with pytest.raises(AttributeError):
+            o.den = 3
+        with pytest.raises(AttributeError):
+            o.corner = (1, 1)

@@ -2,7 +2,6 @@
 
 import random
 import time
-from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
@@ -427,21 +426,14 @@ class TestExact:
 
     def test_three_thousand_objects_certified(self):
         """The engine's scale: 3000 objects, nearly all in one component,
-        reduced and solved exactly within a generous time guard.  Every
-        point an object holds lies in its integer corners, so each object
-        is verified against those points only (all pairs take seconds)."""
+        reduced and solved exactly within a generous time guard, then
+        verified against the optimum's points."""
         inst = gen_random(2, 256, SQRT2, count=3000, seed=1, max_width=64)
         t0 = time.perf_counter()
         res = exact_min_hitting_set(reduce_instance(inst.objects))
         assert time.perf_counter() - t0 < 8.0
         assert res.exact and res.size == res.lower_bound == 1025
-        points = res.points  # sorted
-        for o in inst.objects:
-            (x0, y0), (x1, y1) = G.int_corners(o)
-            slab = points[bisect_left(points, (x0,)):
-                          bisect_left(points, (x1 + 1,))]
-            near = [p for p in slab if y0 <= p[1] <= y1]
-            assert verify_hitting_set([o], near), o
+        assert verify_hitting_set(inst.objects, res.points)
 
     def test_deterministic_tie_break(self):
         objects = [Cube((0, 0), 4), Cube((4, 4), 4)]
@@ -486,3 +478,17 @@ class TestVerify:
     def test_boundary_points_do_not_hit(self):
         assert not verify_hitting_set([Cube((2, 2), 2)], [(2, 2), (4, 4)])
         assert verify_hitting_set([Cube((2, 2), 2)], [(3, 3)])
+
+    def test_matches_every_pair(self):
+        """Against ``contains`` over every (object, point) pair, with point
+        sets drawn near the objects and unsorted; objects with no grid
+        point are included."""
+        rng = random.Random(23)
+        for objects in small_instances(60, seed=29):
+            objects = objects + [Cube((F(1, 4), 3), F(1, 2))]
+            pts = [(rng.randint(1, 20), rng.randint(1, 20))
+                   for _ in range(rng.randint(0, 12))]
+            for k in range(len(objects)):
+                part = objects[:k + 1]
+                assert verify_hitting_set(part, pts) == all(
+                    any(G.contains(o, p) for p in pts) for o in part)
