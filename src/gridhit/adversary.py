@@ -34,7 +34,8 @@ Opponent = Callable[[FatObject], list[Point]]
 class GameState:
     """Trace of one game: objects[j] was answered by responses[j].
     ``points`` holds every answered point in lexicographic order, and
-    ``base_cube`` is the base shape's enclosing cube."""
+    ``base_cube`` is the base shape's enclosing cube; the game is
+    ``finished`` once ``final_width`` is set."""
 
     grid: GridSpec
     base: FatObject
@@ -43,18 +44,23 @@ class GameState:
     responses: list[tuple[Point, ...]] = field(default_factory=list)
     empty_cells: list[Cube] = field(default_factory=list)
     points: list[Point] = field(default_factory=list)
-    finished: bool = False
     final_width: Optional[Scalar] = None
+
+    @property
+    def finished(self) -> bool:
+        return self.final_width is not None
 
 
 @dataclass
 class GameSummary:
+    """A finished game; ``final_width`` is its state's, never None."""
+
     steps: int
     points_per_step: tuple[int, ...]
     total_points: int
     forced_minimum_met: bool
     certificate: Point
-    final_width: Optional[Scalar]
+    final_width: Scalar
 
 
 def initial_object(grid: GridSpec, base: FatObject) -> FatObject:
@@ -164,7 +170,6 @@ def next_object(state: GameState,
     candidate = geometry.fit(state.base, state.base_cube, cell)
 
     if not geometry.has_grid_point(candidate):
-        state.finished = True
         state.final_width = geometry.out_width(candidate)
         return None
     # Every answered point is checked, through the slab of ``points`` that

@@ -31,7 +31,7 @@ from operator import le
 from typing import Union
 
 from gridhit import geometry, oracle
-from gridhit.errors import EmptyObjectError, InvariantViolation
+from gridhit.errors import InvariantViolation
 from gridhit.exactnum import Scalar, as_scalar
 from gridhit.geometry import FatObject, GridSpec, Point
 
@@ -122,10 +122,9 @@ class EngineState:
             self.already_hit_count += 1
             return AlreadyHit()
 
+        # object_level raises on an empty o, and o has a point of its level.
         level = geometry.object_level(o)
         added = geometry.points_of_level(o, level)
-        if not added:
-            raise EmptyObjectError("object contains no grid point")
         if len(added) > self.step_cap:
             raise InvariantViolation(
                 f"step added {len(added)} points, cap is {self.step_cap}")

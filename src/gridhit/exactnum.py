@@ -13,14 +13,14 @@ makes open-set membership and the game recurrences deterministic; floats
 never enter a predicate.
 
 Values of SqrtExt are normalized so that a genuinely rational result is
-always returned as a plain Fraction: b is never 0, and s is an integer
+always returned as a plain Fraction: b is never 0, and s is an int
 that is not a perfect square (``sqrt_exact`` strips its square factors,
 and arithmetic keeps the left operand's s).  Consequently a SqrtExt is always
 irrational and never compares equal to a rational, and its floor is
 computed from ``isqrt`` on integers.  Every scalar is rounded with
 ``math.floor``/``math.ceil``, which dispatch to these exact methods; as
-those also accept a float, floats are rejected where values enter
-(``as_scalar``), not where they are rounded.
+those also accept a float, floats (and bools) are rejected where values
+enter (``as_scalar``), not where they are rounded.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ _SMALL_PRIME_LIMIT = 10**4
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
@@ -82,22 +82,22 @@ def sqrt_exact(x: Rational) -> Scalar:
     radicand = sn * sd
     if radicand == 1:
         return coeff
-    return SqrtExt(Fraction(0), coeff, Fraction(radicand))
+    return SqrtExt(Fraction(0), coeff, radicand)
 
 
-def _make(a: Fraction, b: Fraction, s: Fraction) -> Scalar:
+def _make(a: Fraction, b: Fraction, s: int) -> Scalar:
     """Build a normalized scalar a + b*sqrt(s).  Every caller passes an
     operand's s, already a non-square integer, so only b == 0 folds."""
     return SqrtExt(a, b, s) if b else a
 
 
 class SqrtExt:
-    """An irrational value a + b*sqrt(s): a, b rational, b != 0, and s an
-    integer that is not a perfect square."""
+    """An irrational value a + b*sqrt(s): a, b Fractions, b != 0, and s
+    an int (never a Fraction) that is not a perfect square."""
 
     __slots__ = ("a", "b", "s")
 
-    def __init__(self, a: Fraction, b: Fraction, s: Fraction):
+    def __init__(self, a: Fraction, b: Fraction, s: int):
         # Assumes the caller (``_make``/``sqrt_exact``) already normalized.
         self.a = a
         self.b = b
@@ -113,7 +113,7 @@ class SqrtExt:
         if isinstance(other, SqrtExt):
             if other.s == self.s:
                 return other.a, other.b
-            r = isqrt(int(self.s * other.s))
+            r = isqrt(self.s * other.s)
             if r * r != self.s * other.s:
                 raise ValueError(
                     f"mixed radicals sqrt({self.s}) and sqrt({other.s}) are unsupported")
@@ -250,7 +250,7 @@ class SqrtExt:
         # square; no multiple of q lies strictly inside such a unit gap.
         q = lcm(self.a.denominator, self.b.denominator)
         p, m = int(self.a * q), int(self.b * q)
-        r = isqrt(m * m * int(self.s))
+        r = isqrt(m * m * self.s)
         return (p + r) // q if m > 0 else (p - r - 1) // q
 
     def __ceil__(self):
@@ -268,12 +268,8 @@ def is_rational(x: Scalar) -> bool:
 
 
 def as_scalar(x) -> Scalar:
-    """Coerce to an exact scalar (floats are rejected).
+    """Coerce to an exact scalar (floats and bools are rejected).
 
     Ints are mapped to Fractions so that later divisions stay exact.
     """
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, (Fraction, SqrtExt)):
-        return x
-    raise TypeError(f"expected int, Fraction or SqrtExt, got {type(x).__name__}")
+    return x if isinstance(x, SqrtExt) else _as_fraction(x)

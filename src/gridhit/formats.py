@@ -1,4 +1,5 @@
-"""JSON wire formats shared by the geometry layer and the harness.
+"""JSON wire formats for scalars, shapes and instance files; the module
+imports only ``geometry``, ``exactnum`` and ``errors``.
 
 Scalars are encoded losslessly: integers as JSON ints, other rationals as
 "p/q" strings, and quadratic irrationals as {"a","b","s"} objects.  The
@@ -17,7 +18,6 @@ from fractions import Fraction
 from typing import Optional
 
 from gridhit import geometry
-from gridhit.engine import Added
 from gridhit.errors import InstanceFormatError
 from gridhit.exactnum import Scalar, SqrtExt, sqrt_exact
 from gridhit.geometry import Ball, Box, Cube, FatObject, GridSpec
@@ -39,8 +39,6 @@ def scalar_to_json(x: Scalar):
 def _rational_from_json(v) -> Fraction:
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise InstanceFormatError(f"expected an int or 'p/q' string, got {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
     try:
         return Fraction(v)
     except (ValueError, ZeroDivisionError) as exc:
@@ -193,10 +191,3 @@ def parse_instance(text: str) -> InstanceFile:
 def read_instance(path) -> InstanceFile:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_instance(fh.read())
-
-
-def decision_to_json(decision) -> dict:
-    if isinstance(decision, Added):
-        return {"type": "added", "level": decision.level,
-                "points": decision.points}
-    return {"type": "already_hit"}

@@ -94,7 +94,7 @@ def run_online(inst: InstanceFile, transcript_path=None) -> Report:
         if transcript_path is not None:
             lines.append(formats.dumps({
                 "object": formats.shape_to_json(o),
-                "decision": formats.decision_to_json(decision),
+                "decision": _decision_to_json(decision),
                 "cumulative_size": len(eng.chosen),
             }))
     if transcript_path is not None:
@@ -123,6 +123,13 @@ def run_online(inst: InstanceFile, transcript_path=None) -> Report:
         opt_exact=opt_exact, ratio=ratio, bound=bound, within_bound=within,
         transcript=None if transcript_path is None else str(transcript_path),
     )
+
+
+def _decision_to_json(decision) -> dict:
+    if isinstance(decision, Added):
+        return {"type": "added", "level": decision.level,
+                "points": decision.points}
+    return {"type": "already_hit"}
 
 
 # -- forcing games --------------------------------------------------------------
@@ -219,8 +226,7 @@ def _write_game_trace(path, state: GameState, summary: GameSummary) -> None:
             "forced_minimum_met": summary.forced_minimum_met,
             "certificate": summary.certificate,
             "opt_size": 1,
-            "final_width": None if summary.final_width is None else
-                           formats.scalar_to_json(summary.final_width),
+            "final_width": formats.scalar_to_json(summary.final_width),
         }) + "\n")
 
 
@@ -341,7 +347,7 @@ def _naive_bracket(x: Scalar) -> tuple[Fraction, Fraction]:
     """Rationals lo <= x <= hi: isqrt(s) <= sqrt(s) <= isqrt(s) + 1."""
     if not isinstance(x, SqrtExt):
         return Fraction(x), Fraction(x)
-    r = isqrt(int(x.s))
+    r = isqrt(x.s)
     return tuple(sorted((x.a + x.b * r, x.a + x.b * (r + 1))))
 
 
@@ -638,9 +644,10 @@ SUITES = {
 
 
 def run_suite(name: str, **params) -> list[SuiteResult]:
-    if name == "all":
+    if name == "all" and not params:
         return [fn() for fn in SUITES.values()]
     if name not in SUITES:
         raise InstanceFormatError(
-            f"unknown suite {name!r}; pick from {sorted(SUITES)} or 'all'")
+            f"unknown suite {name!r}; pick from {sorted(SUITES)}, or 'all' "
+            "with no parameters")
     return [SUITES[name](**params)]

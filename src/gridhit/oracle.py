@@ -46,12 +46,16 @@ class ReducedInstance:
     Candidates come in lexicographic order, one per distinct signature, at
     its smallest point.  Dominated candidates, whose signature is a strict
     subset of another's, may remain: the exact solver drops them.
+    ``full_mask``, the signature hitting every object, is derived.
     """
 
     objects: list[FatObject]
     candidates: list[Point]
     signatures: list[int]
-    full_mask: int
+
+    @property
+    def full_mask(self) -> int:
+        return (1 << len(self.objects)) - 1
 
 
 @dataclass
@@ -120,13 +124,12 @@ def reduce_instance(objects: list[FatObject]) -> ReducedInstance:
     """
     m = len(objects)
     if m == 0:
-        return ReducedInstance([], [], [], 0)
-    full = (1 << m) - 1
+        return ReducedInstance([], [], [])
 
     # A point in every object also shows that none is empty.
     cover_all = _find_full_cover(objects)
     if cover_all is not None:
-        return ReducedInstance(list(objects), [cover_all], [full], full)
+        return ReducedInstance(list(objects), [cover_all], [(1 << m) - 1])
 
     # Sweep: along each row prefix the signature changes only where some
     # object's interval starts (+bit at a) or ends (-bit at b + 1).  An
@@ -161,8 +164,7 @@ def reduce_instance(objects: list[FatObject]) -> ReducedInstance:
                     best[sig] = prefix + (start,)
                 start = None
             sig += delta
-    return ReducedInstance(list(objects), list(best.values()), list(best),
-                           full)
+    return ReducedInstance(list(objects), list(best.values()), list(best))
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -388,16 +390,16 @@ def exhaustive_min_hitting_set(inst: ReducedInstance) -> HittingSetResult:
     Exponential; the independent cross-check for the branch and bound on
     instances with few surviving candidates.
     """
-    m = len(inst.objects)
-    if m == 0:
+    if not inst.objects:
         return HittingSetResult((), 0)
     k = len(inst.candidates)
+    full = inst.full_mask
     for size in range(1, k + 1):
         for combo in combinations(range(k), size):
             mask = 0
             for idx in combo:
                 mask |= inst.signatures[idx]
-            if mask == inst.full_mask:
+            if mask == full:
                 pts = tuple(inst.candidates[i] for i in combo)
                 return HittingSetResult(pts, size)
     raise EmptyObjectError("instance is infeasible")

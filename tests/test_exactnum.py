@@ -203,6 +203,27 @@ class TestCoercion:
             with pytest.raises(TypeError, match="float"):
                 entry()
 
+    def test_bools_rejected_at_every_entry(self):
+        # bool is an int subclass; True must not pass as 1.
+        grid = GridSpec(2, 16)
+        entries = [
+            lambda: Cube((True, 1), 2), lambda: Cube((1, 1), True),
+            lambda: Ball((True, 1), 1), lambda: Ball((1, 1), True),
+            lambda: Box((True, 1), (1, 1)), lambda: Box((1, 1), (1, True)),
+            lambda: dilate(Cube((1, 1), 2), True, (0, 0)),
+            lambda: dilate(Cube((1, 1), 2), 1, (True, 0)),
+            lambda: EngineState(grid, True),
+            lambda: sqrt_exact(True),
+            lambda: as_scalar(False),
+            lambda: harness.gen_random(2, 16, True, ("cube",), 2, seed=1),
+            lambda: harness.gen_random(2, 16, 1, ("cube",), 2, seed=1,
+                                       min_width=True),
+            lambda: harness.run_adversary(2, 16, "box", aspect=(True, 2)),
+        ]
+        for entry in entries:
+            with pytest.raises(TypeError, match="bool"):
+                entry()
+
     def test_int_becomes_fraction(self):
         v = as_scalar(3)
         assert isinstance(v, Fraction) and v == 3

@@ -1,5 +1,6 @@
 """Harness: generation, file formats, runs, sweeps, CLI, determinism."""
 
+import ast
 import importlib.util
 import json
 import math
@@ -298,6 +299,12 @@ class TestVerifySuites:
         with pytest.raises(InstanceFormatError):
             harness.run_suite("nonsense")
 
+    def test_all_refuses_parameters(self):
+        # ``all`` runs every suite at its defaults, so a parameter would be
+        # dropped silently; it is refused before any suite runs.
+        with pytest.raises(InstanceFormatError, match="'all'"):
+            harness.run_suite("all", count=3)
+
     def test_broken_level_function_is_caught(self, monkeypatch):
         # Mutation check: sabotage the level computation and the sweep must
         # produce a counterexample.
@@ -486,6 +493,38 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_modules_import_only_lower_layers(self):
+        # The package's layers, lowest first; ``__init__`` may import any.
+        allowed = {
+            "errors": set(), "exactnum": set(),
+            "geometry": {"errors", "exactnum"},
+            "oracle": {"errors", "geometry"},
+            "engine": {"errors", "exactnum", "geometry", "oracle"},
+            "adversary": {"errors", "exactnum", "geometry"},
+            "formats": {"errors", "exactnum", "geometry"},
+            "harness": {"adversary", "engine", "errors", "exactnum",
+                        "formats", "geometry", "oracle"},
+            "cli": {"errors", "formats", "harness"},
+        }
+        for path in sorted(Path(G.__file__).parent.glob("*.py")):
+            if path.stem == "__init__":
+                continue
+            assert path.stem in allowed, f"{path.stem} has no layer"
+            found = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    assert not node.level, f"relative import in {path.name}"
+                    names = [f"gridhit.{a.name}" for a in node.names] \
+                        if node.module == "gridhit" else [node.module]
+                else:
+                    continue
+                found.update(n.split(".")[1] for n in names
+                             if n.startswith("gridhit."))
+            assert found <= allowed[path.stem], \
+                (path.stem, found - allowed[path.stem])
 
     def test_verify_games_command(self):
         code, out = self.run_cli("verify", "--suite", "games")

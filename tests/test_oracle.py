@@ -9,7 +9,7 @@ from operator import or_
 
 import pytest
 
-from gridhit import geometry as G, oracle
+from gridhit import geometry as G, harness, oracle
 from gridhit.errors import EmptyObjectError
 from gridhit.exactnum import sqrt_exact
 from gridhit.geometry import Ball, Box, Cube
@@ -114,7 +114,20 @@ def bitmask_instance(signatures, m):
     """A ``ReducedInstance`` straight from signatures over m objects; the
     candidate points are (index,)."""
     return ReducedInstance([None] * m, [(i,) for i in range(len(signatures))],
-                           list(signatures), (1 << m) - 1)
+                           list(signatures))
+
+
+def stabbing_optimum(objects):
+    """A minimum hitting set of d = 1 objects, each an interval of
+    integers, by greedy stabbing: by right end, take the right end of
+    every interval that starts after the last point taken.  The intervals
+    come from ``harness._naive_ranges``, exact for rational shapes."""
+    points = []
+    for r in sorted((harness._naive_ranges(o)[0] for o in objects),
+                    key=lambda r: r.stop):
+        if not points or points[-1][0] < r.start:
+            points.append((r.stop - 1,))
+    return points
 
 
 def covers(inst, res):
@@ -433,6 +446,21 @@ class TestExact:
         res = exact_min_hitting_set(reduce_instance(inst.objects))
         assert time.perf_counter() - t0 < 8.0
         assert res.exact and res.size == res.lower_bound == 1025
+        assert verify_hitting_set(inst.objects, res.points)
+
+    @pytest.mark.parametrize("N, opt", [(1 << 16, 4422), (4096, 1539)])
+    def test_ten_thousand_intervals_match_stabbing(self, N, opt):
+        """10^4 objects in d = 1: the exact optimum, within a time guard,
+        has the size greedy stabbing gives, and both sets hit every
+        object."""
+        inst = gen_random(1, N, 2, ("ball", "cube", "box"), 10_000, seed=1,
+                          max_width=64)
+        stab = stabbing_optimum(inst.objects)
+        t0 = time.perf_counter()
+        res = exact_min_hitting_set(reduce_instance(inst.objects))
+        assert time.perf_counter() - t0 < 5.0
+        assert res.exact and res.size == len(stab) == opt
+        assert verify_hitting_set(inst.objects, stab)
         assert verify_hitting_set(inst.objects, res.points)
 
     def test_deterministic_tie_break(self):
