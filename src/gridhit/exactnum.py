@@ -1,11 +1,11 @@
 """Exact scalar arithmetic for the geometric predicates.
 
 Every width, coordinate and fatness value in this package is an exact
-scalar: an int, a Fraction, or a SqrtExt value ``a + b*sqrt(s)`` with
-rational a, b and integer s.  Shapes store theirs once, as numerators
-over one int denominator (see ``geometry``): a plain int for a rational
-value, and a SqrtExt with integral a and b otherwise, so rational shapes
-compute in ints and Fractions appear only where values enter or leave.
+scalar: an int, a Fraction, or a SqrtExt value ``(p + m*sqrt(s))/q``
+held as four ints.  Shapes store theirs once, as numerators over one
+int denominator (see ``geometry``): a plain int for a rational value,
+and a SqrtExt with q == 1 otherwise, so shapes compute in ints and
+Fractions appear only where values enter or leave.
 The extension field shows up naturally: the
 fatness of a d-ball is sqrt(d), and the largest axis-parallel cube
 inscribed in a ball has corners involving sqrt(d).  Keeping those values exact is what
@@ -13,20 +13,21 @@ makes open-set membership and the game recurrences deterministic; floats
 never enter a predicate.
 
 Values of SqrtExt are normalized so that a genuinely rational result is
-always returned as a plain Fraction: b is never 0, and s is an int
-that is not a perfect square (``sqrt_exact`` strips its square factors,
-and arithmetic keeps the left operand's s).  Consequently a SqrtExt is always
-irrational and never compares equal to a rational, and its floor is
-computed from ``isqrt`` on integers.  Every scalar is rounded with
-``math.floor``/``math.ceil``, which dispatch to these exact methods; as
-those also accept a float, floats (and bools) are rejected where values
-enter (``as_scalar``), not where they are rounded.
+always returned as a plain Fraction: m is never 0, q > 0 with
+gcd(p, m, q) == 1, and s is an int that is not a perfect square
+(``sqrt_exact`` strips its square factors, and arithmetic keeps the left
+operand's s).  Consequently a SqrtExt is always irrational and never
+compares equal to a rational, and its floor is computed from ``isqrt``
+on integers.  Every scalar is rounded with ``math.floor``/``math.ceil``,
+which dispatch to these exact methods; as those also accept a float,
+floats (and bools) are rejected where values enter (``as_scalar`` and
+the SqrtExt constructor), not where they are rounded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -78,33 +79,65 @@ def sqrt_exact(x: Rational) -> Scalar:
     rn, sn = _square_free(x.numerator)
     rd, sd = _square_free(x.denominator)
     # sqrt(x) = (rn/rd) * sqrt(sn/sd) = (rn/(rd*sd)) * sqrt(sn*sd)
-    coeff = Fraction(rn, rd * sd)
     radicand = sn * sd
     if radicand == 1:
-        return coeff
-    return SqrtExt(Fraction(0), coeff, radicand)
+        return Fraction(rn, rd)
+    return _make(0, rn, rd * sd, radicand)
 
 
-def _make(a: Fraction, b: Fraction, s: int) -> Scalar:
-    """Build a normalized scalar a + b*sqrt(s).  Every caller passes an
-    operand's s, already a non-square integer, so only b == 0 folds."""
-    return SqrtExt(a, b, s) if b else a
+def _make(p: int, m: int, q: int, s: int) -> Scalar:
+    """The normalized scalar (p + m*sqrt(s))/q, for ints with q != 0 and
+    an operand's s, already a non-square int: a Fraction when m == 0,
+    else a SqrtExt reduced by one gcd (skipped when q == 1)."""
+    if not m:
+        return Fraction(p, q)
+    if q != 1:
+        g = gcd(p, m, q)
+        if q < 0:
+            g = -g
+        p, m, q = p // g, m // g, q // g
+    x = object.__new__(SqrtExt)
+    x.p, x.m, x.q, x.s = p, m, q, s
+    return x
 
 
 class SqrtExt:
-    """An irrational value a + b*sqrt(s): a, b Fractions, b != 0, and s
-    an int (never a Fraction) that is not a perfect square."""
+    """An irrational value (p + m*sqrt(s))/q held as four ints: q > 0,
+    m != 0, gcd(p, m, q) == 1, and s >= 2 not a perfect square.
 
-    __slots__ = ("a", "b", "s")
+    ``a`` and ``b`` give the rational parts p/q and m/q as Fractions,
+    for output and the naive oracles.  The constructor is the checked
+    entry; arithmetic builds its results with ``_make``.
+    """
 
-    def __init__(self, a: Fraction, b: Fraction, s: int):
-        # Assumes the caller (``_make``/``sqrt_exact``) already normalized.
-        self.a = a
-        self.b = b
+    __slots__ = ("p", "m", "q", "s")
+
+    def __init__(self, a: Rational, b: Rational, s: int):
+        a, b = _as_fraction(a), _as_fraction(b)
+        if type(s) is not int:
+            raise TypeError(f"radicand must be an int, got {type(s).__name__}")
+        if s < 2 or isqrt(s) ** 2 == s:
+            raise ValueError(f"radicand must be a non-square int >= 2, got {s}")
+        if not b:
+            raise ValueError("b must be nonzero; a rational value is a Fraction")
+        # Over the lcm of the denominators the parts share no factor.
+        q = lcm(a.denominator, b.denominator)
+        self.p = a.numerator * (q // a.denominator)
+        self.m = b.numerator * (q // b.denominator)
+        self.q = q
         self.s = s
 
-    def _parts_with(self, other) -> tuple[Fraction, Fraction]:
-        """Coerce other to (a, b) coefficients over this value's radical.
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.q)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.m, self.q)
+
+    def _parts_with(self, other) -> tuple[int, int, int]:
+        """Coerce other to int parts (p, m, q), q > 0, over this value's
+        radical.
 
         Past 10**12 ``sqrt_exact`` may keep a square factor in the radicand,
         so equal radicals can carry different s; when s1*s2 = r**2,
@@ -112,75 +145,85 @@ class SqrtExt:
         """
         if isinstance(other, SqrtExt):
             if other.s == self.s:
-                return other.a, other.b
+                return other.p, other.m, other.q
             r = isqrt(self.s * other.s)
             if r * r != self.s * other.s:
                 raise ValueError(
                     f"mixed radicals sqrt({self.s}) and sqrt({other.s}) are unsupported")
-            return other.a, other.b * r / self.s
-        if isinstance(other, (int, Fraction)):
-            return _as_fraction(other), Fraction(0)
+            return other.p * self.s, other.m * r, other.q * self.s
+        if isinstance(other, int) and not isinstance(other, bool):
+            return other, 0, 1
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
         raise TypeError(f"unsupported operand type {type(other).__name__}")
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         try:
-            oa, ob = self._parts_with(other)
+            op, om, oq = self._parts_with(other)
         except TypeError:
             return NotImplemented
-        return _make(self.a + oa, self.b + ob, self.s)
+        q = self.q
+        return _make(self.p * oq + op * q, self.m * oq + om * q, q * oq,
+                     self.s)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         try:
-            oa, ob = self._parts_with(other)
+            op, om, oq = self._parts_with(other)
         except TypeError:
             return NotImplemented
-        return _make(self.a - oa, self.b - ob, self.s)
+        q = self.q
+        return _make(self.p * oq - op * q, self.m * oq - om * q, q * oq,
+                     self.s)
 
     def __rsub__(self, other):
         try:
-            oa, ob = self._parts_with(other)
+            op, om, oq = self._parts_with(other)
         except TypeError:
             return NotImplemented
-        return _make(oa - self.a, ob - self.b, self.s)
+        q = self.q
+        return _make(op * q - self.p * oq, om * q - self.m * oq, q * oq,
+                     self.s)
 
     def __mul__(self, other):
         try:
-            oa, ob = self._parts_with(other)
+            op, om, oq = self._parts_with(other)
         except TypeError:
             return NotImplemented
-        return _make(self.a * oa + self.b * ob * self.s,
-                     self.a * ob + self.b * oa, self.s)
+        p, m, s = self.p, self.m, self.s
+        return _make(p * op + m * om * s, p * om + m * op, self.q * oq, s)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         try:
-            oa, ob = self._parts_with(other)
+            op, om, oq = self._parts_with(other)
         except TypeError:
             return NotImplemented
         # Multiply by the conjugate; the norm is a nonzero rational.
-        norm = oa * oa - ob * ob * self.s
+        p, m, s = self.p, self.m, self.s
+        norm = op * op - om * om * s
         if norm == 0:
             raise ZeroDivisionError("division by zero")
-        return _make((self.a * oa - self.b * ob * self.s) / norm,
-                     (self.b * oa - self.a * ob) / norm, self.s)
+        return _make(oq * (p * op - m * om * s), oq * (m * op - p * om),
+                     self.q * norm, s)
 
     def __rtruediv__(self, other):
         try:
-            oa, ob = self._parts_with(other)
+            op, om, oq = self._parts_with(other)
         except TypeError:
             return NotImplemented
-        norm = self.a * self.a - self.b * self.b * self.s
-        # norm == 0 would force a = b = 0, excluded by normalization.
-        return _make((oa * self.a - ob * self.b * self.s) / norm,
-                     (ob * self.a - oa * self.b) / norm, self.s)
+        p, m, s = self.p, self.m, self.s
+        # norm == 0 would force p = m = 0, excluded by normalization.
+        norm = p * p - m * m * s
+        return _make(self.q * (op * p - om * m * s), self.q * (om * p - op * m),
+                     oq * norm, s)
 
     def __neg__(self):
-        return SqrtExt(-self.a, -self.b, self.s)
+        return _make(-self.p, -self.m, self.q, self.s)
 
     def __abs__(self):
         return -self if self._sign() < 0 else self
@@ -196,36 +239,47 @@ class SqrtExt:
     # -- comparisons --------------------------------------------------------
 
     def _sign(self) -> int:
-        a, b = self.a, self.b
-        if b > 0:
-            if a >= 0:
+        # The sign of p + m*sqrt(s), as q > 0.
+        p, m = self.p, self.m
+        if m > 0:
+            if p >= 0:
                 return 1
-            return 1 if a * a < b * b * self.s else -1
-        # b < 0 (b == 0 excluded by normalization)
-        if a <= 0:
+            return 1 if p * p < m * m * self.s else -1
+        # m < 0 (m == 0 excluded by normalization)
+        if p <= 0:
             return -1
-        return 1 if a * a > b * b * self.s else -1
+        return 1 if p * p > m * m * self.s else -1
 
     def _cmp(self, other) -> int:
         diff = self - other
         if isinstance(diff, SqrtExt):
             return diff._sign()
-        return (diff > 0) - (diff < 0)
+        n = diff.numerator  # a rational difference is a Fraction
+        return (n > 0) - (n < 0)
 
     def __eq__(self, other):
-        # b*sqrt(s) is fixed by its sign and b*b*s, whatever square factor
-        # s still carries.
+        # m*sqrt(s)/q is fixed by its sign and m*m*s/q**2, whatever square
+        # factor s still carries.
         if isinstance(other, SqrtExt):
             if self.s == other.s:
-                return self.a == other.a and self.b == other.b
-            return (self.a == other.a and (self.b > 0) == (other.b > 0) and
-                    self.b * self.b * self.s == other.b * other.b * other.s)
+                return (self.p == other.p and self.m == other.m
+                        and self.q == other.q)
+            q, oq = self.q, other.q
+            return (self.p * oq == other.p * q
+                    and (self.m > 0) == (other.m > 0)
+                    and self.m * self.m * self.s * oq * oq
+                    == other.m * other.m * other.s * q * q)
         if isinstance(other, (int, Fraction)):
             return False  # a normalized SqrtExt is irrational
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b * self.b * self.s, self.b > 0))
+        # p/q and m*m*s/q**2 in lowest terms, as ``__eq__`` compares them.
+        p, m, q = self.p, self.m, self.q
+        g = gcd(p, q)
+        n, d = m * m * self.s, q * q
+        h = gcd(n, d)
+        return hash((p // g, q // g, n // h, d // h, m > 0))
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -242,14 +296,12 @@ class SqrtExt:
     # -- conversions --------------------------------------------------------
 
     def __float__(self):
-        return float(self.a) + float(self.b) * float(self.s) ** 0.5
+        return self.p / self.q + self.m / self.q * float(self.s) ** 0.5
 
     def __floor__(self):
-        # The value is (p + m*sqrt(s))/q with integers p, m, q > 0, and
         # |m|*sqrt(s) lies strictly between r and r + 1 as m*m*s is not a
         # square; no multiple of q lies strictly inside such a unit gap.
-        q = lcm(self.a.denominator, self.b.denominator)
-        p, m = int(self.a * q), int(self.b * q)
+        p, m, q = self.p, self.m, self.q
         r = isqrt(m * m * self.s)
         return (p + r) // q if m > 0 else (p - r - 1) // q
 
@@ -260,7 +312,7 @@ class SqrtExt:
         return f"SqrtExt({self.a!r}, {self.b!r}, {self.s!r})"
 
     def __str__(self):
-        return f"{self.a}{'+' if self.b >= 0 else ''}{self.b}*sqrt({self.s})"
+        return f"{self.a}{'+' if self.m > 0 else ''}{self.b}*sqrt({self.s})"
 
 
 def is_rational(x: Scalar) -> bool:

@@ -15,11 +15,12 @@ Each shape is stored once, when it is built, as numerators over one
 positive int ``den``: a cube's or box's low and high ends per axis
 (``lo``, ``hi``), or a ball's center and radius (``ctr``, ``rad``).  A
 numerator is a plain int for rational data, and otherwise a ``SqrtExt``
-with integral parts.  The form is reduced by one gcd, so equal shapes
-store equal numbers.  Every predicate and construction below reads and
-builds this form, so a rational shape costs int arithmetic only; the
-exact scalars ``corner``, ``width``, ``widths``, ``center`` and
-``radius`` are built on demand, for output and the naive oracles.
+with integral parts (its q is 1).  The form is reduced by one gcd, so
+equal shapes store equal numbers.  Every predicate and construction
+below reads and builds this form, so rational and irrational shapes
+alike cost int arithmetic only; the exact scalars ``corner``,
+``width``, ``widths``, ``center`` and ``radius`` are built on demand,
+for output and the naive oracles.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from operator import le
 from typing import Iterator, Optional, Union
 
 from gridhit.errors import EmptyObjectError, FatnessViolation, GridBoundsError
-from gridhit.exactnum import Scalar, SqrtExt, as_scalar, sqrt_exact
+from gridhit.exactnum import Scalar, SqrtExt, _make, as_scalar, sqrt_exact
 
 Point = tuple[int, ...]
 
@@ -64,18 +65,17 @@ class GridSpec:
 # -- the stored form ------------------------------------------------------------
 
 def _common_den(values) -> int:
-    """The lcm of the denominators of the values' rational parts (a
-    SqrtExt has two): the least den that makes every value * den a
-    numerator."""
-    return lcm(*(p.denominator for v in values
-                 for p in ((v.a, v.b) if isinstance(v, SqrtExt) else (v,))))
+    """The lcm of the values' denominators (a SqrtExt's is its q): the
+    least den that makes every value * den a numerator."""
+    return lcm(*(v.q if isinstance(v, SqrtExt) else v.denominator
+                 for v in values))
 
 
 def _scaled(x: Scalar, den: int):
     """x * den, for a den that ``_common_den`` allows, as a numerator."""
     if isinstance(x, SqrtExt):
-        return SqrtExt(Fraction(_scaled(x.a, den)), Fraction(_scaled(x.b, den)),
-                       x.s)
+        k = den // x.q
+        return _make(x.p * k, x.m * k, 1, x.s)
     return x.numerator * (den // x.denominator)
 
 
@@ -87,18 +87,18 @@ def _quotient(n, den):
 def _store(o, den: int, first: tuple, second) -> None:
     """Store numerators over ``den`` on a new shape, reduced by one gcd.
     ``first`` and ``second`` are a cube's or box's low and high ends, or
-    a ball's center and radius.  SqrtExt arithmetic returns a rational
-    result as a Fraction, so an integral Fraction is stored as its int."""
+    a ball's center and radius.  A SqrtExt numerator has q == 1; SqrtExt
+    arithmetic returns a rational result as a Fraction, so an integral
+    Fraction is stored as its int."""
     nums = [n if type(n) is int or isinstance(n, SqrtExt) else n.numerator
             for n in (*first, *(second if type(second) is tuple
                                 else (second,)))]
     g = gcd(den, *(p for n in nums for p in (
-        (n,) if type(n) is int else (n.a.numerator, n.b.numerator))))
+        (n,) if type(n) is int else (n.p, n.m))))
     if g > 1:
         den //= g
-        nums = [n // g if type(n) is int else
-                SqrtExt(Fraction(n.a.numerator // g),
-                        Fraction(n.b.numerator // g), n.s) for n in nums]
+        nums = [n // g if type(n) is int else _make(n.p // g, n.m // g, 1, n.s)
+                for n in nums]
     d = len(first)
     f0, f1 = o._fields
     put = object.__setattr__
@@ -372,7 +372,7 @@ def fit(o: FatObject, src: Cube, dst: Cube) -> FatObject:
     ws = src.hi[0] - src.lo[0]
     wd = dst.hi[0] - dst.lo[0]
     if isinstance(ws, SqrtExt):
-        conj = SqrtExt(ws.a, -ws.b, ws.s)
+        conj = _make(ws.p, -ws.m, ws.q, ws.s)
         wd, ws = wd * conj, ws * conj  # ws * conj is a nonzero rational
         if ws < 0:
             wd, ws = -wd, -ws

@@ -286,3 +286,15 @@ class TestRationalGameInInts:
                                                 1 << 2 * log_n, shape)
         assert more_steps >= 2 * steps - 1
         assert large <= small
+
+
+class TestBallGameInInts:
+    """A ball game's step runs on int parts as well: each SqrtExt holds
+    ints over one denominator, so the Fraction operator calls of a whole
+    ball game stay a handful per step."""
+
+    @pytest.mark.parametrize("d, N", [(2, 1 << 64), (3, 1 << 16)])
+    def test_few_fraction_calls_per_step(self, monkeypatch, d, N):
+        calls, steps = TestRationalGameInInts.fraction_calls(
+            monkeypatch, d, N, "ball")
+        assert calls < 20 * steps

@@ -144,6 +144,145 @@ class TestFieldArithmetic:
         assert abs(x) == sqrt_exact(2) - 1
 
 
+# An independent reference: a value a + b*sqrt(s) as a pair (a, b) of
+# Fractions over one radical s, with the textbook field formulas.
+BIG_RADICAND_ROOT = 10**6 + 3  # s * root**2 is past 10**12
+
+
+def ref_add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def ref_sub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def ref_mul(x, y, s):
+    return x[0] * y[0] + x[1] * y[1] * s, x[0] * y[1] + x[1] * y[0]
+
+
+def ref_div(x, y, s):
+    norm = y[0] * y[0] - y[1] * y[1] * s
+    return ((x[0] * y[0] - x[1] * y[1] * s) / norm,
+            (x[1] * y[0] - x[0] * y[1]) / norm)
+
+
+def ref_sign(x, s):
+    a, b = x
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if b > 0:
+        return 1 if a >= 0 or a * a < b * b * s else -1
+    return -1 if a <= 0 or a * a < b * b * s else 1
+
+
+def ref_floor(x, s):
+    """The largest n with n <= a + b*sqrt(s), by stepping from an
+    estimate with the exact test n - a <= b*sqrt(s)."""
+    a, b = x
+    if b == 0:
+        return math.floor(a)
+
+    def at_most(n):
+        return ref_sign((a - n, b), s) >= 0
+
+    root = math.isqrt(math.floor(b * b * s))
+    n = math.floor(a) + (root if b > 0 else -root)
+    while not at_most(n):
+        n -= 1
+    while at_most(n + 1):
+        n += 1
+    return n
+
+
+@st.composite
+def operands(draw, s):
+    """(operand, its reference pair over sqrt(s)): an int, a Fraction, or
+    a SqrtExt over s or over s * root**2, at scales up to 2**1100."""
+    kind = draw(st.sampled_from(["int", "fraction", "sqrt", "big_radicand"]))
+    a = draw(rationals) * draw(scales)
+    b = draw(rationals.filter(bool)) * draw(scales)
+    if kind == "int":
+        n = math.floor(a)
+        return n, (Fraction(n), Fraction(0))
+    if kind == "fraction":
+        return a, (a, Fraction(0))
+    if kind == "sqrt":
+        return SqrtExt(a, b, s), (a, b)
+    # sqrt(s * root**2) = root * sqrt(s)
+    return (SqrtExt(a, b, s * BIG_RADICAND_ROOT ** 2),
+            (a, b * BIG_RADICAND_ROOT))
+
+
+def as_pair(z, s):
+    """The result z as a reference pair over sqrt(s), after asserting its
+    normal form: a Fraction when rational, else q > 0, m != 0 and
+    gcd(p, m, q) == 1 over s or s * root**2."""
+    if not isinstance(z, SqrtExt):
+        assert isinstance(z, Fraction)
+        return z, Fraction(0)
+    assert z.q > 0 and z.m != 0 and math.gcd(z.p, z.m, z.q) == 1
+    assert all(type(v) is int for v in (z.p, z.m, z.q, z.s))
+    if z.s == s:
+        return z.a, z.b
+    assert z.s == s * BIG_RADICAND_ROOT ** 2
+    return z.a, z.b * BIG_RADICAND_ROOT
+
+
+class TestAgainstReference:
+    """Every operator, in both operand orders, gives exactly the value of
+    the reference formulas on (a, b) pairs."""
+
+    @given(st.data(), radicands)
+    def test_arithmetic(self, data, s):
+        x, rx = data.draw(operands(s))
+        y, ry = data.draw(operands(s))
+        if not (isinstance(x, SqrtExt) or isinstance(y, SqrtExt)):
+            return
+        assert as_pair(x + y, s) == ref_add(rx, ry)
+        assert as_pair(y + x, s) == ref_add(ry, rx)
+        assert as_pair(x - y, s) == ref_sub(rx, ry)
+        assert as_pair(y - x, s) == ref_sub(ry, rx)
+        assert as_pair(x * y, s) == ref_mul(rx, ry, s)
+        assert as_pair(y * x, s) == ref_mul(ry, rx, s)
+        for num, den, rnum, rden in [(x, y, rx, ry), (y, x, ry, rx)]:
+            if rden == (0, 0):
+                with pytest.raises(ZeroDivisionError):
+                    num / den
+            else:
+                assert as_pair(num / den, s) == ref_div(rnum, rden, s)
+        if isinstance(x, SqrtExt):
+            assert as_pair(-x, s) == (-rx[0], -rx[1])
+
+    @given(st.data(), radicands)
+    def test_order_equality_and_hash(self, data, s):
+        x, rx = data.draw(operands(s))
+        y, ry = data.draw(operands(s))
+        if not (isinstance(x, SqrtExt) or isinstance(y, SqrtExt)):
+            return
+        sign = ref_sign(ref_sub(rx, ry), s)
+        assert (x < y, x == y, x > y) == (sign < 0, sign == 0, sign > 0)
+        assert (y < x, y == x, y > x) == (sign > 0, sign == 0, sign < 0)
+        assert (x <= y, x >= y) == (sign <= 0, sign >= 0)
+        # The same value over s and over s * root**2 hashes alike.
+        a, b = rx
+        if b:
+            over_s = SqrtExt(a, b, s)
+            over_big = SqrtExt(a, b / BIG_RADICAND_ROOT,
+                               s * BIG_RADICAND_ROOT ** 2)
+            assert over_s == over_big == x
+            assert hash(over_s) == hash(over_big) == hash(x)
+        if sign == 0:
+            assert hash(x) == hash(y)
+
+    @given(st.data(), radicands)
+    def test_floor_and_ceil(self, data, s):
+        x, rx = data.draw(operands(s))
+        n = ref_floor(rx, s)
+        assert math.floor(x) == n
+        assert math.ceil(x) == (n if rx[1] == 0 and n == rx[0] else n + 1)
+
+
 class TestFloors:
     @given(rationals, rationals, radicands, scales, scales)
     def test_scalar_floor_is_tight(self, a, b, s, scale_a, scale_b):
@@ -202,6 +341,24 @@ class TestCoercion:
         for entry in entries:
             with pytest.raises(TypeError, match="float"):
                 entry()
+
+    def test_constructor_checks_its_arguments(self):
+        # The public constructor is the one checked entry: a float or a
+        # bool part, a non-int radicand, a square radicand or b == 0 would
+        # break the exact layer or the "SqrtExt is irrational" rule.
+        F = Fraction
+        for a, b, s in [(F(1), F(1), 2.0), (1.0, 1, 2), (1, 0.5, 2),
+                        (True, 1, 2), (1, False, 2), (1, 1, True),
+                        (1, 1, F(2)), (1, 1, "2")]:
+            with pytest.raises(TypeError):
+                SqrtExt(a, b, s)
+        for a, b, s in [(F(0), F(0), 2), (F(0), F(1), 4), (1, 1, 1),
+                        (1, 1, 0), (1, 1, -3), (1, 1, 10**24)]:
+            with pytest.raises(ValueError):
+                SqrtExt(a, b, s)
+        with pytest.raises(TypeError):
+            Ball((SqrtExt(F(1), F(1), 2.0), 5), 2)
+        assert SqrtExt(F(3, 4), 2, 8) == F(3, 4) + 4 * sqrt_exact(2)
 
     def test_bools_rejected_at_every_entry(self):
         # bool is an int subclass; True must not pass as 1.
