@@ -38,7 +38,6 @@ from gridhit.geometry import (
     FatObject,
     GridSpec,
     contains,
-    dilate,
     grid_points_in,
     in_width,
     int_level,

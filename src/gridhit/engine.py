@@ -81,7 +81,7 @@ class EngineState:
             raise ValueError(f"fatness must be >= 1, got {fatness}")
         self.grid = grid
         self.fatness = fatness
-        self.fatness_sq = fatness * fatness
+        self.fatness_bound = geometry.as_parts(fatness * fatness)
         self.step_cap = floor((4 * fatness + 1) ** grid.d)
         self.chosen: list[Point] = []
         self.unhit: dict[int, list[FatObject]] = {}
@@ -116,7 +116,7 @@ class EngineState:
 
     def process(self, o: FatObject) -> Decision:
         geometry.validate_in_grid(o, self.grid)
-        geometry.validate_fatness(o, self.fatness_sq)
+        geometry.validate_fatness(o, self.fatness_bound)
 
         if self.is_hit(o):
             self.already_hit_count += 1

@@ -6,6 +6,12 @@ Scalars are encoded losslessly: integers as JSON ints, other rationals as
 encodings are canonical, so serialize(parse(serialize(x))) is byte-equal
 to serialize(x).
 
+Shapes are read and written through their stored numerators (see
+``geometry``), with no Fraction per coordinate: each field is read as a
+numerator over its own denominator, and written as its numerator over
+the shape's, reduced by one gcd.  The grammar and its errors stay
+``Fraction``'s.
+
 An instance file is JSON lines: a header record {"d","N","alpha",...}
 followed by one shape record per line, in arrival order.
 """
@@ -15,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from gridhit import geometry
@@ -43,6 +50,22 @@ def _rational_from_json(v) -> Fraction:
         return Fraction(v)
     except (ValueError, ZeroDivisionError) as exc:
         raise InstanceFormatError(f"bad rational {v!r}: {exc}") from None
+
+
+def _parts_from_json(v) -> tuple:
+    """A JSON scalar as ``geometry.as_parts`` gives it, but a rational's
+    ints need not be in lowest terms.  Only an int or an ASCII "p/q" of
+    digits, p signed by '-' at most and q nonzero, is read with int()."""
+    if type(v) is int:
+        return v, 1
+    if type(v) is str and v.isascii():
+        n, _, q = v.partition("/")
+        if n[n.startswith("-"):].isdigit() and q.isdigit() and q.strip("0"):
+            try:
+                return int(n), int(q)
+            except ValueError:  # past int()'s digit limit: Fraction's error
+                pass
+    return geometry.as_parts(scalar_from_json(v))
 
 
 def scalar_from_json(v) -> Scalar:
@@ -74,39 +97,55 @@ def scalar_to_text(x: Scalar) -> str:
     return str(v)
 
 
+def _over(n, den):
+    """The JSON form of the stored numerator n over den."""
+    if isinstance(n, SqrtExt):
+        return scalar_to_json(n / den)
+    n = n.numerator  # an int, or the integral Fraction of two SqrtExt ends
+    g = gcd(n, den)
+    return n // g if g == den else f"{n // g}/{den // g}"
+
+
 def shape_to_json(o: FatObject) -> dict:
-    if isinstance(o, Cube):
-        return {"shape": "cube",
-                "corner": [scalar_to_json(c) for c in o.corner],
-                "width": scalar_to_json(o.width)}
     if isinstance(o, Ball):
         return {"shape": "ball",
-                "center": [scalar_to_json(c) for c in o.center],
-                "radius": scalar_to_json(o.radius)}
+                "center": [_over(c, o.den) for c in o.ctr],
+                "radius": _over(o.rad, o.den)}
+    if isinstance(o, Cube):
+        return {"shape": "cube",
+                "corner": [_over(c, o.den) for c in o.lo],
+                "width": _over(o.hi[0] - o.lo[0], o.den)}
     if isinstance(o, Box):
         return {"shape": "box",
-                "corner": [scalar_to_json(c) for c in o.corner],
-                "widths": [scalar_to_json(w) for w in o.widths]}
+                "corner": [_over(c, o.den) for c in o.lo],
+                "widths": [_over(h - l, o.den) for l, h in zip(o.lo, o.hi)]}
     raise InstanceFormatError(f"cannot serialize shape {type(o).__name__}")
+
+
+# Each shape kind's class and its two fields, as ``geometry.from_parts``
+# takes them.
+_KINDS = {"cube": (Cube, "corner", "width"), "ball": (Ball, "center", "radius"),
+          "box": (Box, "corner", "widths")}
 
 
 def shape_from_json(rec) -> FatObject:
     if not isinstance(rec, dict) or "shape" not in rec:
         raise InstanceFormatError(f"bad shape record {rec!r}")
     kind = rec["shape"]
+    if type(kind) is not str or kind not in _KINDS:
+        raise InstanceFormatError(f"unknown shape kind {kind!r}")
+    cls, first, second = _KINDS[kind]
     try:
-        if kind == "cube":
-            return Cube(tuple(scalar_from_json(c) for c in rec["corner"]),
-                        scalar_from_json(rec["width"]))
-        if kind == "ball":
-            return Ball(tuple(scalar_from_json(c) for c in rec["center"]),
-                        scalar_from_json(rec["radius"]))
-        if kind == "box":
-            return Box(tuple(scalar_from_json(c) for c in rec["corner"]),
-                       tuple(scalar_from_json(w) for w in rec["widths"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        value = rec[second]
+        return geometry.from_parts(
+            cls, tuple(map(_parts_from_json, rec[first])),
+            tuple(map(_parts_from_json, value)) if cls is Box
+            else _parts_from_json(value))
+    except KeyError as exc:
+        raise InstanceFormatError(
+            f"bad {kind} record: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
         raise InstanceFormatError(f"bad {kind} record: {exc}") from None
-    raise InstanceFormatError(f"unknown shape kind {kind!r}")
 
 
 def dumps(obj) -> str:
@@ -162,7 +201,7 @@ def parse_instance(text: str) -> InstanceFile:
     fatness = scalar_from_json(header["alpha"])
     if not fatness >= 1:
         raise InstanceFormatError(f"line 1: alpha must be >= 1, got {fatness}")
-    fat_sq = fatness * fatness
+    bound = geometry.as_parts(fatness * fatness)
 
     objects = []
     for no, line in enumerate(lines[1:], start=2):
@@ -172,10 +211,10 @@ def parse_instance(text: str) -> InstanceFile:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise InstanceFormatError(f"line {no}: bad JSON: {exc}") from None
-        o = shape_from_json(rec)
         try:
+            o = shape_from_json(rec)
             geometry.validate_in_grid(o, grid)
-            geometry.validate_fatness(o, fat_sq)
+            geometry.validate_fatness(o, bound)
         except Exception as exc:
             raise InstanceFormatError(f"line {no}: {exc}") from None
         if not geometry.has_grid_point(o):

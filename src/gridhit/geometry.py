@@ -20,7 +20,10 @@ equal shapes store equal numbers.  Every predicate and construction
 below reads and builds this form, so rational and irrational shapes
 alike cost int arithmetic only; the exact scalars ``corner``,
 ``width``, ``widths``, ``center`` and ``radius`` are built on demand,
-for output and the naive oracles.
+for the naive oracles.  The constructors, ``from_parts`` (scalar
+fields already split by ``as_parts``, as the file parser gives them)
+and ``from_numerators`` (numerators over a known den, as generation and
+the constructions give them) all end in the same ``_store``.
 """
 
 from __future__ import annotations
@@ -64,19 +67,22 @@ class GridSpec:
 
 # -- the stored form ------------------------------------------------------------
 
-def _common_den(values) -> int:
-    """The lcm of the values' denominators (a SqrtExt's is its q): the
-    least den that makes every value * den a numerator."""
-    return lcm(*(v.q if isinstance(v, SqrtExt) else v.denominator
-                 for v in values))
-
-
-def _scaled(x: Scalar, den: int):
-    """x * den, for a den that ``_common_den`` allows, as a numerator."""
+def as_parts(x) -> tuple:
+    """The exact scalar x as (n, q): a numerator n over the least
+    positive int q, n a plain int for a rational x and a SqrtExt with
+    q == 1 otherwise.  Floats and bools are rejected, as by ``as_scalar``."""
+    if type(x) is int:
+        return x, 1
+    x = as_scalar(x)
     if isinstance(x, SqrtExt):
-        k = den // x.q
-        return _make(x.p * k, x.m * k, 1, x.s)
-    return x.numerator * (den // x.denominator)
+        return _make(x.p, x.m, 1, x.s), x.q
+    return x.numerator, x.denominator
+
+
+def _over_one_den(parts) -> tuple[int, list]:
+    """The lcm of the qs of ``as_parts`` pairs, and each n rescaled over it."""
+    den = lcm(*(q for _, q in parts))
+    return den, [n * (den // q) for n, q in parts]
 
 
 def _quotient(n, den):
@@ -93,8 +99,7 @@ def _store(o, den: int, first: tuple, second) -> None:
     nums = [n if type(n) is int or isinstance(n, SqrtExt) else n.numerator
             for n in (*first, *(second if type(second) is tuple
                                 else (second,)))]
-    g = gcd(den, *(p for n in nums for p in (
-        (n,) if type(n) is int else (n.p, n.m))))
+    g = gcd(den, *(n if type(n) is int else gcd(n.p, n.m) for n in nums))
     if g > 1:
         den //= g
         nums = [n // g if type(n) is int else _make(n.p // g, n.m // g, 1, n.s)
@@ -112,6 +117,15 @@ def from_numerators(cls, den: int, first: tuple, second):
     (see ``_store``), built without the scalar constructor."""
     o = object.__new__(cls)
     _store(o, den, first, second)
+    return o
+
+
+def from_parts(cls, first: tuple, second):
+    """The shape of class ``cls`` from its scalar fields as ``as_parts``
+    pairs (a cube's corner and width, a ball's center and radius, a box's
+    corner and widths), checked as its constructor checks them."""
+    o = object.__new__(cls)
+    o._build(first, second)
     return o
 
 
@@ -153,14 +167,14 @@ class Cube(_Rect):
     __slots__ = ()
 
     def __init__(self, corner, width):
-        corner = tuple(map(as_scalar, corner))
-        width = as_scalar(width)
-        den = _common_den((*corner, width))
-        w = _scaled(width, den)
+        self._build(tuple(map(as_parts, corner)), as_parts(width))
+
+    def _build(self, corner, width):
+        den, (w, *lo) = _over_one_den((width, *corner))
         if not w > 0:
-            raise ValueError(f"cube width must be positive, got {width}")
-        lo = tuple(_scaled(c, den) for c in corner)
-        _store(self, den, lo, tuple(c + w for c in lo))
+            raise ValueError(
+                f"cube width must be positive, got {_quotient(*width)}")
+        _store(self, den, tuple(lo), tuple(c + w for c in lo))
 
     @property
     def width(self) -> Scalar:
@@ -176,16 +190,17 @@ class Box(_Rect):
     __slots__ = ()
 
     def __init__(self, corner, widths):
-        corner = tuple(map(as_scalar, corner))
-        widths = tuple(map(as_scalar, widths))
-        if len(corner) != len(widths):
+        self._build(tuple(map(as_parts, corner)), tuple(map(as_parts, widths)))
+
+    def _build(self, corner, widths):
+        d = len(corner)
+        if d != len(widths):
             raise ValueError("corner and widths must have the same dimension")
-        den = _common_den((*corner, *widths))
-        ws = [_scaled(w, den) for w in widths]
+        den, nums = _over_one_den((*corner, *widths))
+        lo, ws = nums[:d], nums[d:]
         if not all(w > 0 for w in ws):
             raise ValueError("box widths must be positive")
-        lo = tuple(_scaled(c, den) for c in corner)
-        _store(self, den, lo, tuple(c + w for c, w in zip(lo, ws)))
+        _store(self, den, tuple(lo), tuple(c + w for c, w in zip(lo, ws)))
 
     @property
     def widths(self) -> tuple[Scalar, ...]:
@@ -203,13 +218,14 @@ class Ball(_Shape):
     _fields = __slots__
 
     def __init__(self, center, radius):
-        center = tuple(map(as_scalar, center))
-        radius = as_scalar(radius)
-        den = _common_den((*center, radius))
-        r = _scaled(radius, den)
+        self._build(tuple(map(as_parts, center)), as_parts(radius))
+
+    def _build(self, center, radius):
+        den, (r, *ctr) = _over_one_den((radius, *center))
         if not r > 0:
-            raise ValueError(f"ball radius must be positive, got {radius}")
-        _store(self, den, tuple(_scaled(c, den) for c in center), r)
+            raise ValueError(
+                f"ball radius must be positive, got {_quotient(*radius)}")
+        _store(self, den, tuple(ctr), r)
 
     @property
     def center(self) -> tuple[Scalar, ...]:
@@ -341,24 +357,15 @@ def fatness_sq(o: FatObject) -> Scalar:
     return _quotient(*_fatness_sq(o))
 
 
-def validate_fatness(o: FatObject, family_fatness_sq: Scalar) -> None:
+def validate_fatness(o: FatObject, bound: tuple) -> None:
+    """Reject an object whose squared fatness exceeds the family's, given
+    as ``as_parts(fatness ** 2)``: a family takes that form once."""
     num, den = _fatness_sq(o)
-    q = _common_den((family_fatness_sq,))
-    if num * q > _scaled(family_fatness_sq, q) * den:
+    n, q = bound
+    if num * q > n * den:
         raise FatnessViolation(
             f"object fatness^2 {fatness_sq(o)} exceeds the declared bound "
-            f"{family_fatness_sq}")
-
-
-def dilate(o: FatObject, beta: Scalar, v) -> FatObject:
-    """Scale by beta > 0 and translate by v; fatness is preserved.  This
-    fits the unit cube onto the cube with corner v and width beta."""
-    if not as_scalar(beta) > 0:
-        raise ValueError(f"dilation scale must be positive, got {beta}")
-    v = tuple(v)
-    if len(v) != dimension(o):
-        raise ValueError("translation vector has wrong dimension")
-    return fit(o, Cube((0,) * len(v), 1), Cube(v, beta))
+            f"{_quotient(n, q)}")
 
 
 def fit(o: FatObject, src: Cube, dst: Cube) -> FatObject:

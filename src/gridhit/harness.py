@@ -238,7 +238,9 @@ def gen_random(d: int, N: int, fatness: Scalar, shapes=("ball", "cube", "box"),
     """Reproducible random instance: uniform placement, log-uniform widths
     in [min_width, max_width], rejection-sampled to satisfy the header
     invariants.  Only integer draws touch the RNG, so the same seed gives
-    the same file on every platform."""
+    the same file on every platform.  The draws count eighths, sixteenths
+    and sixty-fourths, and each shape is built from them as its stored
+    numerators, with no Fraction per object."""
     grid = GridSpec(d, N)
     if count < 0:
         raise InstanceFormatError(f"count must be >= 0, got {count}")
@@ -246,6 +248,7 @@ def gen_random(d: int, N: int, fatness: Scalar, shapes=("ball", "cube", "box"),
     if not fatness >= 1:
         raise InstanceFormatError(f"alpha must be >= 1, got {fatness}")
     fat_sq = fatness * fatness
+    bound = geometry.as_parts(fat_sq)
     shapes = tuple(shapes)
     if not shapes:
         raise InstanceFormatError("need at least one shape kind")
@@ -278,48 +281,45 @@ def gen_random(d: int, N: int, fatness: Scalar, shapes=("ball", "cube", "box"),
     rng = random.Random(seed)
     buckets = max(1, (hi8 // lo8).bit_length())
 
-    # Boxes need a rational cap on the per-axis width ratio below fatness.
-    ratio_cap = Fraction(floor(fatness * 64), 64)
+    # Boxes cap the per-axis width ratio below fatness at cap64 / 64.
+    cap64 = floor(fatness * 64)
 
     objects: list[FatObject] = []
     for _ in range(count):
         for _attempt in range(1000):
             kind = shapes[rng.randrange(len(shapes))]
             b = rng.randrange(buckets)
-            w = Fraction(rng.randint(lo8 << b, min(hi8, ((lo8 << b) << 1) - 1)), 8)
-            o = _sample_shape(rng, kind, d, N, w, ratio_cap)
+            w8 = rng.randint(lo8 << b, min(hi8, ((lo8 << b) << 1) - 1))
+            o = _sample_shape(rng, kind, d, N, w8, cap64)
             if geometry.has_grid_point(o):
                 break
         else:
             raise InstanceFormatError(
                 "rejection budget exceeded while sampling: "
-                f"{kind} of width {w} caught no grid point")
+                f"{kind} of width {Fraction(w8, 8)} caught no grid point")
         geometry.validate_in_grid(o, grid)
-        geometry.validate_fatness(o, fat_sq)
+        geometry.validate_fatness(o, bound)
         objects.append(o)
     return InstanceFile(grid, fatness, objects, seed)
 
 
 def _sample_shape(rng: random.Random, kind: str, d: int, N: int,
-                  w: Fraction, ratio_cap: Fraction) -> FatObject:
-    """A shape of width w <= N placed uniformly inside [0, N]^d."""
+                  w8: int, cap64: int) -> FatObject:
+    """A shape of width w = w8/8 <= N placed uniformly inside [0, N]^d,
+    built as numerators from its integer draws: a ball's center and
+    radius w/2 over 16, a cube's corner over 8, and a box's per-axis
+    widths in [w / (cap64/64), w] and its corner over 64."""
     if kind == "ball":
-        r = w / 2
-        lo16 = int(16 * r)
-        center = tuple(Fraction(rng.randint(lo16, 16 * N - lo16), 16)
-                       for _ in range(d))
-        return Ball(center, r)
+        center = tuple(rng.randint(w8, 16 * N - w8) for _ in range(d))
+        return geometry.from_numerators(Ball, 16, center, w8)
     if kind == "cube":
-        span = int(8 * (N - w))
-        corner = tuple(Fraction(rng.randint(0, span), 8) for _ in range(d))
-        return Cube(corner, w)
-    # box: per-axis widths in [w/ratio_cap, w]
-    lo64 = ceil(64 * w / ratio_cap)
-    hi64 = int(64 * w)
-    widths = tuple(Fraction(rng.randint(lo64, hi64), 64) for _ in range(d))
-    corner = tuple(Fraction(rng.randint(0, int(64 * (N - wi))), 64)
-                   for wi in widths)
-    return Box(corner, widths)
+        lo = tuple(rng.randint(0, 8 * N - w8) for _ in range(d))
+        return geometry.from_numerators(Cube, 8, lo, tuple(c + w8 for c in lo))
+    widths = tuple(rng.randint(-(-512 * w8 // cap64), 8 * w8)
+                   for _ in range(d))
+    lo = tuple(rng.randint(0, 64 * N - w) for w in widths)
+    return geometry.from_numerators(Box, 64, lo,
+                                    tuple(c + w for c, w in zip(lo, widths)))
 
 
 # -- naive oracles for the verification sweeps -----------------------------------

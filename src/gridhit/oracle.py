@@ -27,7 +27,6 @@ are also provided, the latter as the independent cross-check.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
@@ -406,22 +405,13 @@ def exhaustive_min_hitting_set(inst: ReducedInstance) -> HittingSetResult:
 
 
 def verify_hitting_set(objects: list[FatObject], points) -> bool:
-    """True iff every object strictly contains at least one of the grid
-    points.
+    """True iff every object strictly contains at least one of the
+    points, which are grid points: int coordinates >= 1.
 
-    The points are sorted once, and each object tests only the slab whose
-    first coordinate lies in the first axis of its ``int_corners``; the
-    exact ``contains`` decides every point of the slab.  Corners that
-    were too tight could only make the check fail, never pass.
+    The points are sorted once, and each object tests them with
+    ``geometry.grid_points_among_sorted``; an object whose corners admit
+    no integer holds none of them.
     """
     points = sorted(points)
-    for o in objects:
-        corners = geometry.int_corners(o)
-        if corners is None:
-            return False
-        lo, hi = corners
-        slab = points[bisect_left(points, (lo[0],)):
-                      bisect_left(points, (hi[0] + 1,))]
-        if not any(geometry.contains(o, p) for p in slab):
-            return False
-    return True
+    return all(next(geometry.grid_points_among_sorted(o, points), None)
+               is not None for o in objects)

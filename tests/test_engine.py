@@ -81,8 +81,8 @@ def replay_runs():
         inst = gen_random(d, N, 2, ("ball", "cube", "box"), 400,
                           seed=40 + i, max_width=max_width)
         yield inst.grid, inst.objects
-        yield GridSpec(d, 2**64), [G.dilate(o, 1, (2**63,) * d)
-                                   for o in inst.objects]
+        unit, far = Cube((0,) * d, 1), Cube((2**63,) * d, 1)
+        yield GridSpec(d, 2**64), [G.fit(o, unit, far) for o in inst.objects]
 
 
 class TestConstruction:

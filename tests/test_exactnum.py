@@ -14,7 +14,7 @@ from gridhit.exactnum import (
     as_scalar,
     sqrt_exact,
 )
-from gridhit.geometry import Ball, Box, Cube, GridSpec, dilate
+from gridhit.geometry import Ball, Box, Cube, GridSpec, fit
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=64)
 radicands = st.sampled_from([2, 3, 5, 6, 7, 10])
@@ -330,8 +330,8 @@ class TestCoercion:
             lambda: Cube((1.5, 1), 2), lambda: Cube((1, 1), 2.0),
             lambda: Ball((1.0, 1), 1), lambda: Ball((1, 1), 0.5),
             lambda: Box((1.0, 1), (1, 1)), lambda: Box((1, 1), (1, 1.5)),
-            lambda: dilate(Cube((1, 1), 2), 1.5, (0, 0)),
-            lambda: dilate(Cube((1, 1), 2), 1, (0.5, 0)),
+            lambda: fit(Cube((1, 1), 2), Cube((0, 0), 1), Cube((0, 0), 1.5)),
+            lambda: fit(Cube((1, 1), 2), Cube((0, 0), 1), Cube((0.5, 0), 1)),
             lambda: EngineState(grid, 1.5),
             lambda: harness.gen_random(2, 16, 1.5, ("cube",), 2, seed=1),
             lambda: harness.gen_random(2, 16, 1, ("cube",), 2, seed=1,
@@ -367,8 +367,8 @@ class TestCoercion:
             lambda: Cube((True, 1), 2), lambda: Cube((1, 1), True),
             lambda: Ball((True, 1), 1), lambda: Ball((1, 1), True),
             lambda: Box((True, 1), (1, 1)), lambda: Box((1, 1), (1, True)),
-            lambda: dilate(Cube((1, 1), 2), True, (0, 0)),
-            lambda: dilate(Cube((1, 1), 2), 1, (True, 0)),
+            lambda: fit(Cube((1, 1), 2), Cube((0, 0), 1), Cube((0, 0), True)),
+            lambda: fit(Cube((1, 1), 2), Cube((0, 0), 1), Cube((True, 0), 1)),
             lambda: EngineState(grid, True),
             lambda: sqrt_exact(True),
             lambda: as_scalar(False),

@@ -641,28 +641,36 @@ class TestWidths:
 
     def test_fatness_validation(self):
         with pytest.raises(FatnessViolation):
-            G.validate_fatness(Ball((4, 4), 2), F(1))
-        G.validate_fatness(Ball((4, 4), 2), F(2))
+            G.validate_fatness(Ball((4, 4), 2), G.as_parts(F(1)))
+        G.validate_fatness(Ball((4, 4), 2), G.as_parts(F(2)))
+
+
+UNIT = Cube((0, 0), 1)
 
 
 class TestDilate:
+    """Scaling by beta and translating by v: ``fit`` of the unit cube
+    onto the cube with corner v and width beta."""
+
     def test_identity(self):
         b = Ball((4, 4), 2)
-        assert G.dilate(b, 1, (0, 0)) == b
+        assert G.fit(b, UNIT, UNIT) == b
 
     def test_cube_shrink_shift(self):
-        assert G.dilate(Cube((0, 0), 4), F(1, 2), (1, 1)) == Cube((1, 1), 2)
+        assert (G.fit(Cube((0, 0), 4), UNIT, Cube((1, 1), F(1, 2)))
+                == Cube((1, 1), 2))
 
     def test_ball_affine(self):
-        assert G.dilate(Ball((2, 2), 1), 3, (-1, 0)) == Ball((5, 6), 3)
+        assert G.fit(Ball((2, 2), 1), UNIT, Cube((-1, 0), 3)) == Ball((5, 6), 3)
 
     def test_fatness_preserved(self):
         o = Box((0, 0), (2, 5))
-        assert G.fatness_sq(G.dilate(o, F(7, 3), (1, 2))) == G.fatness_sq(o)
+        assert (G.fatness_sq(G.fit(o, UNIT, Cube((1, 2), F(7, 3))))
+                == G.fatness_sq(o))
 
     def test_bad_scale(self):
-        with pytest.raises(ValueError):
-            G.dilate(Ball((2, 2), 1), 0, (0, 0))
+        with pytest.raises(ValueError, match="width must be positive"):
+            G.fit(Ball((2, 2), 1), UNIT, Cube((0, 0), 0))
 
 
 class TestGridValidation:
@@ -932,14 +940,15 @@ class TestStoredForm:
         bound = data.draw(st.sampled_from([F(1), F(2), F(3), F(4), F(9, 4)]))
         if ref_fatness_sq(o) > bound:
             with pytest.raises(FatnessViolation):
-                G.validate_fatness(o, bound)
+                G.validate_fatness(o, G.as_parts(bound))
         else:
-            G.validate_fatness(o, bound)
+            G.validate_fatness(o, G.as_parts(bound))
         beta = data.draw(st.builds(F, st.integers(1, 2**70), _DENS))
         if data.draw(st.booleans()):
             beta += sqrt_exact(max(G.dimension(o), 2)) / 7
-        v = tuple(data.draw(_any_coord) for _ in range(G.dimension(o)))
-        got = G.dilate(o, beta, v)
+        d = G.dimension(o)
+        v = tuple(data.draw(_any_coord) for _ in range(d))
+        got = G.fit(o, Cube((0,) * d, 1), Cube(v, beta))
         assert got == ref_dilate(o, beta, v)
         assert G.fit(o, G.enclosing_cube(o), G.enclosing_cube(got)) == got
 
@@ -972,7 +981,8 @@ class TestStoredForm:
     @settings(max_examples=200, deadline=None)
     @given(stored_shapes(), st.integers(2, 12))
     def test_equal_values_store_equal_numbers(self, o, m):
-        copies = [rebuilt(o), G.dilate(o, 1, (0,) * G.dimension(o))]
+        unit = Cube((0,) * G.dimension(o), 1)
+        copies = [rebuilt(o), G.fit(o, unit, unit)]
         if isinstance(o, Ball):
             copies.append(G.from_numerators(
                 Ball, o.den * m, tuple(c * m for c in o.ctr), o.rad * m))

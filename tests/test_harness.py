@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from gridhit import formats, geometry as G, harness
+from test_adversary import FRACTION_OPS
+
+from gridhit import adversary, formats, geometry as G, harness
 from gridhit.cli import main as cli_main
 from gridhit.errors import InstanceFormatError
 from gridhit.exactnum import SqrtExt, sqrt_exact
@@ -116,12 +119,132 @@ class TestInstanceFiles:
         empty = '{"shape":"cube","corner":[0,0],"width":1}'
         with pytest.raises(InstanceFormatError, match="no grid point"):
             parse_instance(header + "\n" + empty + "\n")
+        for record, message in [
+            ('{"shape":"cube","corner":[1,1]}',
+             "line 2: bad cube record: missing field 'width'"),
+            ('{"shape":"torus"}', "line 2: unknown shape kind 'torus'"),
+            ('[1,2]', "line 2: bad shape record [1, 2]"),
+            ('{"shape":"cube","corner":[1,1],"width":-2}',
+             "line 2: bad cube record: cube width must be positive, got -2"),
+        ]:
+            with pytest.raises(InstanceFormatError,
+                               match="^" + re.escape(message) + "$"):
+                parse_instance(header + "\n" + record + "\n")
 
     def test_file_io(self, tmp_path):
         inst = harness.gen_random(2, 32, F(2), ("cube", "box"), 5, seed=9)
         path = tmp_path / "inst.jsonl"
         write_instance(inst, path)
         assert read_instance(path).objects == inst.objects
+
+
+def ref_shape_to_json(o):
+    """The shape record written from the exact scalar fields, one
+    Fraction per coordinate."""
+    if isinstance(o, Cube):
+        return {"shape": "cube",
+                "corner": [scalar_to_json(c) for c in o.corner],
+                "width": scalar_to_json(o.width)}
+    if isinstance(o, Ball):
+        return {"shape": "ball",
+                "center": [scalar_to_json(c) for c in o.center],
+                "radius": scalar_to_json(o.radius)}
+    return {"shape": "box",
+            "corner": [scalar_to_json(c) for c in o.corner],
+            "widths": [scalar_to_json(w) for w in o.widths]}
+
+
+def ref_serialize(inst):
+    lines = [formats.dumps(inst.header())]
+    lines.extend(formats.dumps(ref_shape_to_json(o)) for o in inst.objects)
+    return "\n".join(lines) + "\n"
+
+
+def reference_instances():
+    """Seeded instances at d = 1, 2, 3 and alpha = 1, 2, sqrt(2), with
+    every shape the alpha admits, and the irrational balls of a forcing
+    game at (2, 2**64)."""
+    for d, N in ((1, 64), (2, 64), (3, 32)):
+        for alpha in (F(1), F(2), SQRT2):
+            shapes = ("ball", "cube", "box") if alpha ** 2 >= d \
+                else ("cube", "box")
+            yield harness.gen_random(d, N, alpha, shapes, 60, seed=10 * d)
+    grid = GridSpec(2, 2**64)
+    state = adversary.play_game_traced(
+        grid, harness.base_shape(2, "ball"), harness.first_point_opponent)
+    yield InstanceFile(grid, SQRT2, state.objects)
+
+
+class TestIntFormats:
+    """Shapes are read and written through their stored numerators; the
+    Fraction forms stay as the independent reference."""
+
+    # Each string reads as Fraction reads it, or fails where it fails.
+    GRAMMAR = ["3/4", "-3/4", "+3/4", " 3/4 ", "3/ 4", "3/-4", "-0/5", "3/0",
+               "1.5", "1e2", "1_000/3", "\u0663/4", "", "/", "3/", "12", "-7",
+               "007/010", "3/4/5", "--3/4", "-", "1" * 5000 + "/3"]
+
+    @pytest.mark.parametrize("text", GRAMMAR)
+    def test_grammar_is_fractions(self, text):
+        try:
+            want = F(text)
+        except (ValueError, ZeroDivisionError):
+            want = None
+        for rec in ({"shape": "ball", "center": [text], "radius": 1},
+                    {"shape": "box", "corner": [0], "widths": [text]}):
+            if want is None or (rec["shape"] == "box" and not want > 0):
+                with pytest.raises(InstanceFormatError):
+                    shape_from_json(rec)
+            elif rec["shape"] == "ball":
+                assert shape_from_json(rec).center == (want,)
+            else:
+                assert shape_from_json(rec).widths == (want,)
+
+    @pytest.mark.parametrize("value", [True, False, 1.5, None, [1]])
+    def test_non_rational_json_rejected(self, value):
+        for rec in ({"shape": "ball", "center": [value], "radius": 1},
+                    {"shape": "cube", "corner": [0], "width": value}):
+            with pytest.raises(InstanceFormatError):
+                shape_from_json(rec)
+
+    def test_writer_matches_fraction_reference(self):
+        for inst in reference_instances():
+            text = serialize_instance(inst)
+            assert text == ref_serialize(inst)
+            again = parse_instance(text)
+            assert again.objects == inst.objects
+            assert serialize_instance(again) == text
+
+    @pytest.mark.parametrize("shape", [
+        Cube((1 + SQRT2, 2), 3), Cube((SQRT2 / 3, F(1, 2)), SQRT2 - 1),
+        Box((SQRT2 / 3, 1), (2, 1 + SQRT2)), Ball((SQRT2, F(1, 3)), 2),
+        Ball((F(5, 6), 7), 3 * SQRT2 / 4),
+    ])
+    def test_irrational_fields_match_reference(self, shape):
+        rec = shape_to_json(shape)
+        assert rec == ref_shape_to_json(shape)
+        assert shape_from_json(json.loads(json.dumps(rec))) == shape
+
+    def test_fraction_work_does_not_grow_with_objects(self, monkeypatch):
+        def work(count):
+            calls = [0]
+
+            def counted(fn):
+                def wrapper(*args, **kwargs):
+                    calls[0] += 1
+                    return fn(*args, **kwargs)
+                return wrapper
+
+            with monkeypatch.context() as m:
+                m.setattr(F, "__new__", staticmethod(counted(F.__new__)))
+                for name in FRACTION_OPS:
+                    m.setattr(F, name, counted(getattr(F, name)))
+                inst = harness.gen_random(2, 256, F(2), ("ball", "cube", "box"),
+                                          count, seed=5, max_width=32)
+                parse_instance(serialize_instance(inst))
+            return calls[0]
+
+        assert work(2000) <= work(200)
 
 
 class TestGenRandom:
@@ -138,7 +261,7 @@ class TestGenRandom:
         fat_sq = inst.fatness * inst.fatness
         for o in inst.objects:
             G.validate_in_grid(o, inst.grid)
-            G.validate_fatness(o, fat_sq)
+            G.validate_fatness(o, G.as_parts(fat_sq))
             assert G.has_grid_point(o)
 
     def test_count_zero(self):
